@@ -166,20 +166,36 @@ def _read_matrix_file(path: str) -> Any:
         return json.load(handle)
 
 
+def _matrix_rows(data: Any) -> list[list[Any]]:
+    """JSON rows checked to form a rectangular array of arrays."""
+    if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
+        raise ValueError("matrix must be an array of row arrays")
+    if any(len(row) != len(data[0]) for row in data):
+        raise ValueError("ragged matrix: rows have different lengths")
+    return data
+
+
 def _cmd_rank(args: argparse.Namespace) -> int:
     data = _read_matrix_file(args.matrix)
     if args.kind == "smith":
-        rank, factors = smith_rank(data)
+        rows = _matrix_rows(data)
+        if not all(type(x) is int for row in rows for x in row):
+            raise ValueError("matrix entries must be integers")
+        rank, factors = smith_rank(rows)
         if args.json:
             print(json.dumps({"rank": rank, "invariant_factors": list(factors)}))
         else:
             print(f"rank: {rank}")
             print(f"invariant factors: {list(factors)}")
     else:
+        if not isinstance(data, dict):
+            raise ValueError('a Laurent matrix must be {"nvars": k, "rows": [...]}')
         nvars = data["nvars"]
+        if type(nvars) is not int or nvars < 0:
+            raise ValueError("nvars must be a non-negative integer")
         rows = [
             [LaurentPoly.from_json(nvars, entry) for entry in row]
-            for row in data["rows"]
+            for row in _matrix_rows(data["rows"])
         ]
         rank = laurent_rank(rows)
         if args.json:

@@ -10,7 +10,7 @@ their keys coincide.  Keys drive hashing, sorting, and serialization.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from .errors import AmbientMismatchError
 from .words import Word
@@ -145,12 +145,6 @@ class AbelianGroup(Group):
 
     def element_json(self, a: tuple[int, ...]) -> list[int]:
         return list(a)
-
-    def element(self, exponents: Iterable[int]) -> tuple[int, ...]:
-        vec = tuple(int(x) for x in exponents)
-        if len(vec) != self.rank:
-            raise ValueError(f"expected {self.rank} exponents, got {len(vec)}")
-        return vec
 
 
 @lru_cache(maxsize=None)

@@ -144,12 +144,22 @@ class LaurentPoly:
         ]
 
     @staticmethod
-    def from_json(nvars: int, data: list[dict[str, Any]]) -> "LaurentPoly":
+    def from_json(nvars: int, data: Any) -> "LaurentPoly":
+        """Parse a list of {"exps", "num", "den"} terms, checking its shape."""
+        if not isinstance(data, list):
+            raise ValueError("a Laurent entry must be a list of terms")
         total = LaurentPoly.zero(nvars)
         for term in data:
-            total = total + LaurentPoly.monomial(
-                nvars, term["exps"], Fraction(term["num"], term.get("den", 1))
-            )
+            if not isinstance(term, dict):
+                raise ValueError("a Laurent term must be an object")
+            exps, num, den = term.get("exps"), term.get("num"), term.get("den", 1)
+            if not isinstance(exps, list):
+                raise ValueError("Laurent exps must be a list of integers")
+            if any(type(x) is not int for x in [*exps, num, den]):
+                raise ValueError("Laurent exps, num and den must be integers")
+            if den == 0:
+                raise ValueError("Laurent term with zero denominator")
+            total = total + LaurentPoly.monomial(nvars, exps, Fraction(num, den))
         return total
 
     def _same(self, other: "LaurentPoly") -> None:
@@ -160,22 +170,35 @@ class LaurentPoly:
 
 
 def exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    """Exact division f / g of polynomials known to divide evenly."""
+    """Exact division f / g; raises ValueError if g does not divide f.
+
+    The lowest power of each variable in a product is the sum of the
+    factors' lowest powers, so every term of an exact quotient has
+    exponents at least floor = mindeg(f) - mindeg(g), variable by
+    variable.  Each step of the division takes a term of the quotient in
+    strictly decreasing graded-lexicographic order; a step below the
+    floor proves the division inexact, and above the floor there are
+    only finitely many exponents, so the loop ends either way.
+    """
     if g.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     quotient = LaurentPoly.zero(f.nvars)
     g_exps, g_coeff = g.leading()
+    floor = [a - b for a, b in zip(_min_exps(f), _min_exps(g))]
     remainder = f
     while not remainder.is_zero():
         r_exps, r_coeff = remainder.leading()
-        step = LaurentPoly.monomial(
-            f.nvars,
-            tuple(a - b for a, b in zip(r_exps, g_exps)),
-            r_coeff / g_coeff,
-        )
+        exps = tuple(a - b for a, b in zip(r_exps, g_exps))
+        if any(e < low for e, low in zip(exps, floor)):
+            raise ValueError("inexact division: the divisor does not divide")
+        step = LaurentPoly.monomial(f.nvars, exps, r_coeff / g_coeff)
         quotient = quotient + step
         remainder = remainder - step * g
     return quotient
+
+
+def _min_exps(p: LaurentPoly) -> list[int]:
+    return [min(column) for column in zip(*p.terms)]
 
 
 def laurent_rank(matrix: Sequence[Sequence[LaurentPoly]]) -> int:

@@ -10,6 +10,14 @@ right-module convention fixes the product rule
 i.e. d(uv) = d(u)*v-bar + d(v).  The coordinate row of a word's image is
 its vector of Fox derivatives evaluated in ZB; the inverse rule
 d(u^-1) = -d(u)*u-bar^-1 is a consequence, not an axiom.
+
+Unrolled over a word, the rule becomes the suffix form
+d(y_1 ... y_L) = sum_k d(y_k) * (y_{k+1} ... y_L)-bar: the row is a
+flow on the Cayley graph of B, one unit per letter placed at the vertex
+its suffix reaches (Myasnikov, Roman'kov, Ushakov and Vershik, The word
+and geodesic problems in free solvable groups, Trans. AMS 362, 2010).
+`eval_word` computes words that way, with one product in B per letter
+and no translation of the row.
 """
 
 from __future__ import annotations
@@ -46,13 +54,6 @@ class SplitMatrix:
         if width is None:
             width = base.ngens
         return SplitMatrix(base, base.identity(), [RingElement.zero(base)] * width)
-
-    @staticmethod
-    def generator(base: Group, i: int) -> "SplitMatrix":
-        """Image of the i-th free generator: top b_i, coordinate row t_i."""
-        coords = [RingElement.zero(base)] * base.ngens
-        coords[i - 1] = RingElement.one(base)
-        return SplitMatrix(base, base.generator(i), coords)
 
     # -- group operations ----------------------------------------------
 
@@ -108,25 +109,42 @@ class SplitMatrix:
 
 
 @lru_cache(maxsize=4096)
-def _letter_matrix(base: Group, letter: int) -> SplitMatrix:
-    matrix = SplitMatrix.generator(base, abs(letter))
-    return matrix if letter > 0 else matrix.inv()
+def _letter_image(base: Group, letter: int) -> Any:
+    """Image of a letter x_i^(+-1) in the base group."""
+    g = base.generator(abs(letter))
+    return g if letter > 0 else base.inv(g)
 
 
 def eval_word(word: Word, base: Group) -> SplitMatrix:
     """Image of a free word under the splitting homomorphism over `base`.
 
-    Letters are processed left to right with incremental multiplication;
-    the coordinate row of the result is the word's Fox derivative vector.
+    The coordinate row is the word's Fox derivative vector, evaluated as
+    a flow (see the module docstring).  The word is walked right to left
+    keeping the suffix image s in the base group; each letter costs one
+    left multiplication by the letter's image and one coefficient update
+    at s, with d(x_i) = t_i adding +1 at s before the step and
+    d(x_i^-1) = -t_i * x_i^-1 adding -1 at s after it.  Over a free
+    abelian base (S(m, n) with n = 2) the cost is linear in the word
+    length L; at higher classes each step also pays for the product and
+    the canonical key of the suffix in the base group.
     """
-    result = SplitMatrix.identity(base)
-    for letter in word:
-        if not 1 <= abs(letter) <= base.ngens:
+    terms: list[list[tuple[Any, int]]] = [[] for _ in range(base.ngens)]
+    suffix = base.identity()
+    for letter in reversed(word):
+        index = abs(letter)
+        if not 1 <= index <= base.ngens:
             raise ValueError(
-                f"bad generator index {abs(letter)} (base group has {base.ngens})"
+                f"bad generator index {index} (base group has {base.ngens})"
             )
-        result = result * _letter_matrix(base, letter)
-    return result
+        if letter > 0:
+            terms[index - 1].append((suffix, 1))
+            suffix = base.mul(_letter_image(base, letter), suffix)
+        else:
+            suffix = base.mul(_letter_image(base, letter), suffix)
+            terms[index - 1].append((suffix, -1))
+    return SplitMatrix(
+        base, suffix, [RingElement.from_terms(base, row) for row in terms]
+    )
 
 
 def sigma(p: SplitMatrix) -> RingElement:

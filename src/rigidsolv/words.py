@@ -78,10 +78,6 @@ def power(word: Iterable[int], k: int) -> Word:
     return word * k
 
 
-def max_generator(word: Iterable[int]) -> int:
-    return max((abs(letter) for letter in word), default=0)
-
-
 def word_to_str(word: Iterable[int]) -> str:
     parts = []
     for letter in word:
@@ -95,6 +91,11 @@ _TOKEN = re.compile(
 )
 
 _CLOSER = {"(": ")", "{": "}"}
+
+#: Deepest bracket nesting the parser accepts.  Each level costs three
+#: Python frames, so the cap keeps parsing well inside the default
+#: recursion limit; deeper input is a syntax error, not a crash.
+MAX_NESTING = 100
 
 
 class _Parser:
@@ -113,6 +114,7 @@ class _Parser:
                 )
             self.tokens.append((kind, match.group(), match.start() + 1))
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int] | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -181,6 +183,12 @@ class _Parser:
             if index < 1:
                 raise WordSyntaxError("variable indices start at 1", self.line, col)
             return (VarLetter(index, 1),)
+        if kind == "punct" and text in "({[":
+            if self.depth == MAX_NESTING:
+                raise WordSyntaxError(
+                    f"brackets nested deeper than {MAX_NESTING} levels", self.line, col
+                )
+            self.depth += 1
         if kind == "punct" and text in "({":
             inner = self.sequence(stop={_CLOSER[text]})
             closer = self.peek()
@@ -189,6 +197,7 @@ class _Parser:
                     f"missing {_CLOSER[text]!r}", self.line, self.end_col()
                 )
             self.next()
+            self.depth -= 1
             return inner
         if kind == "punct" and text == "[":
             u = self.sequence(stop={","})
@@ -201,6 +210,7 @@ class _Parser:
             if tok is None:
                 raise WordSyntaxError("missing ']'", self.line, self.end_col())
             self.next()
+            self.depth -= 1
             return _commutator_items(u, v)
         raise WordSyntaxError(f"unexpected {text!r}", self.line, col)
 

@@ -147,6 +147,41 @@ def test_parse_error_exit_2(capsys):
     assert "line 1, column 4" in err
 
 
+def test_deep_nesting_exit_2(capsys):
+    code, _, err = run(capsys, "normalize", "-m", "2", "-n", "2",
+                       "(" * 3000 + "x1" + ")" * 3000)
+    assert code == 2
+    assert "column 101" in err and "nested" in err
+    code, _, err = run(capsys, "solve", "-m", "2", "-n", "2", "-r", "1",
+                       "-e", "(" * 3000 + "[$1,x1]" + ")" * 3000)
+    assert code == 2
+
+
+@pytest.mark.parametrize(
+    "kind,matrix",
+    [
+        ("smith", [[1, 2, 3], [4, 5]]),
+        ("smith", [[1.5, 2], [3, 4]]),
+        ("smith", [[True, 2], [3, 4]]),
+        ("smith", {"rows": [[1]]}),
+        ("laurent", {"nvars": 1, "rows": 5}),
+        ("laurent", {"nvars": 1, "rows": [[[]], []]}),
+        ("laurent", {"nvars": True, "rows": [[[]]]}),
+        ("laurent", {"nvars": 1, "rows": [[5]]}),
+        ("laurent", {"nvars": 1, "rows": [[[{"exps": [1], "num": 0.5}]]]}),
+        ("laurent", {"nvars": 1, "rows": [[[{"exps": [1], "num": 1, "den": 0}]]]}),
+        ("laurent", [[1]]),
+    ],
+)
+def test_rank_bad_shape_exit_2(tmp_path, capsys, kind, matrix):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(matrix))
+    code, out, err = run(capsys, "rank", "--kind", kind, "--json", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_cap_exceeded_exit_3(capsys):
     code, _, err = run(
         capsys,

@@ -159,6 +159,24 @@ def test_exact_div():
         assert exact_div(f * g, g) == f
 
 
+def test_exact_div_rejects_inexact_division():
+    one = LaurentPoly.const(1, 1)
+    t = LaurentPoly.monomial(1, (1,))
+    x, y = LaurentPoly.monomial(2, (1, 0)), LaurentPoly.monomial(2, (0, 1))
+    # The second case never leaves total degree 0 in graded-lex order, so
+    # only the per-variable exponent floor stops it.
+    for f, g in ((one + t, one - t), (x, x - y), (x * x + y, x + y)):
+        with pytest.raises(ValueError, match="inexact"):
+            exact_div(f, g)
+    rng = random.Random(6)
+    for _ in range(40):
+        f = rand_poly(rng, 2)
+        g = rand_poly(rng, 2)
+        if len(g.terms) > 1:
+            with pytest.raises(ValueError, match="inexact"):
+                exact_div(f * g + LaurentPoly.const(2, 1), g)
+
+
 # -- lattice helper -------------------------------------------------------------------
 
 

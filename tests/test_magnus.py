@@ -1,9 +1,15 @@
+import contextlib
+import hashlib
+import io
+import json
+import pathlib
 import random
 
 import pytest
 
 from conftest import S3, S4, eval_perm_word, perm_identity
 
+from rigidsolv.cli import main
 from rigidsolv.errors import AmbientMismatchError
 from rigidsolv.group_ring import RingElement
 from rigidsolv.groups import abelian_group
@@ -13,7 +19,7 @@ from rigidsolv.magnus import (
     restricted_module_generators,
     sigma,
 )
-from rigidsolv.free_solvable import free_solvable_group
+from rigidsolv.free_solvable import SolvableElement, free_solvable_group
 from rigidsolv.verify import random_word
 from rigidsolv.words import commutator, parse_word
 
@@ -22,6 +28,7 @@ ONE = RingElement.one(Z2)
 B1 = RingElement.monomial(Z2, (1, 0))
 B2 = RingElement.monomial(Z2, (0, 1))
 ZERO = RingElement.zero(Z2)
+ZERO_S21 = RingElement.zero(free_solvable_group(2, 1))
 
 
 # -- split_mul ---------------------------------------------------------------
@@ -97,6 +104,63 @@ def test_commutator_coordinates():
 def test_generator_index_out_of_range():
     with pytest.raises(ValueError):
         eval_word((3,), Z2)
+
+
+def fold_eval_word(word, base):
+    """Reference evaluation: fold the letter matrices from left to right."""
+    result = SplitMatrix.identity(base)
+    for letter in word:
+        coords = [RingElement.zero(base)] * base.ngens
+        coords[abs(letter) - 1] = RingElement.one(base)
+        matrix = SplitMatrix(base, base.generator(abs(letter)), coords)
+        result = result * (matrix if letter > 0 else matrix.inv())
+    return result
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("n,max_len", [(2, 40), (3, 20), (4, 8)])
+def test_flow_matches_left_to_right_fold(m, n, max_len):
+    rng = random.Random(f"flow-vs-fold {m} {n}")
+    base = free_solvable_group(m, n - 1)
+    words = [(), (1,) * max_len, (-m,) * max_len, (2, -1) * (max_len // 2)]
+    for _ in range(12):
+        w = random_word(rng, m, max_len)
+        words += [w, w + tuple(-x for x in reversed(w))]
+    for w in words:
+        assert eval_word(w, base).key() == fold_eval_word(w, base).key()
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 7, 100, 8000])
+def test_generator_power_closed_form(k):
+    # d(x1^k) = 1 + x1 + ... + x1^(k-1) and d(x1^-k) = -(x1^-1 + ... + x1^-k).
+    base = free_solvable_group(2, 1)
+
+    def power_sum(exponents, sign):
+        return RingElement.from_terms(
+            base, [(SolvableElement(2, 1, (j, 0)), sign) for j in exponents]
+        )
+
+    p = eval_word((1,) * k, base)
+    assert p.top == SolvableElement(2, 1, (k, 0))
+    assert p.coords == (power_sum(range(k), 1), ZERO_S21)
+    q = eval_word((-1,) * k, base)
+    assert q.top == SolvableElement(2, 1, (-k, 0))
+    assert q.coords == (power_sum(range(-k, 0), -1), ZERO_S21)
+
+
+CORPUS = pathlib.Path(__file__).with_name("canonical_corpus.json")
+
+
+def test_canonical_json_corpus():
+    # SHA-256 digests of `normalize --json` and `fox --json` output, made
+    # by the left-to-right fold evaluator; flow evaluation must reproduce
+    # them byte for byte.
+    for entry in json.loads(CORPUS.read_text()):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(entry["argv"]) == 0
+        digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+        assert digest == entry["sha256"], entry["argv"]
 
 
 def test_homomorphism_on_random_pairs():

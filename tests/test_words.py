@@ -2,6 +2,7 @@ import pytest
 
 from rigidsolv.errors import WordSyntaxError
 from rigidsolv.words import (
+    MAX_NESTING,
     VarLetter,
     commutator,
     conjugate,
@@ -77,6 +78,19 @@ def test_error_cases():
     for bad in ["x0", "y1", "x1^", "[x1]", "[x1,x2", "x1 ,", "5"]:
         with pytest.raises(WordSyntaxError):
             parse_word(bad)
+
+
+def test_nesting_cap():
+    depth = MAX_NESTING
+    assert parse_word("(" * depth + "x1" + ")" * depth) == (1,)
+    assert parse_word("{(" * (depth // 2) + "x1" + ")}" * (depth // 2)) == (1,)
+    for opener, closer in (("(", ")"), ("{", "}"), ("[x1,", "]")):
+        text = opener * 3000 + "x2" + closer * 3000
+        with pytest.raises(WordSyntaxError) as info:
+            parse_word(text)
+        assert info.value.column == len(opener) * depth + 1
+    with pytest.raises(WordSyntaxError):
+        parse_letters("(" * 3000 + "[$1,x1]" + ")" * 3000)
 
 
 def test_generator_range_check():
