@@ -21,7 +21,6 @@ from .wreath import (
     WreathProduct,
     embed_free_solvable,
     embedding_codomain,
-    function_to_matrix,
     iterated_wreath,
     matrix_to_function,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "evaluate",
     "free_reduce",
     "free_solvable_group",
-    "function_to_matrix",
     "is_trivial",
     "iterated_wreath",
     "laurent_rank",

@@ -108,16 +108,7 @@ def evaluate(
         raise ValueError(
             f"arity mismatch: word uses {s.nvars} variables, got {len(assignment)}"
         )
-    result = group.identity()
-    for letter in s.letters:
-        if isinstance(letter, Var):
-            value = assignment[letter.index - 1]
-            if letter.sign < 0:
-                value = group.inv(value)
-            result = group.mul(result, value)
-        else:
-            result = group.mul(result, normalize(group.m, group.n, letter.word))
-    return result
+    return _evaluate_prepared(_prepare(s, group), assignment, group)
 
 
 @dataclass(frozen=True)
@@ -191,13 +182,14 @@ def solve_ball(
     prepared = [_prepare(s, group) for s in system]
     solutions = []
     for assignment in itertools.product(ball, repeat=nvars):
-        if all(_evaluate_prepared(p, assignment, group) for p in prepared):
+        if all(_evaluate_prepared(p, assignment, group).is_trivial() for p in prepared):
             solutions.append(assignment)
     solutions.sort(key=lambda a: tuple(e.key() for e in a))
     return SolutionSet(m, n, radius, nvars, tuple(solutions))
 
 
 def _prepare(s: MixedWord, group: Any) -> list[tuple[bool, Any, int]]:
+    """Letters as (is_var, variable slot or normalized constant, sign)."""
     out: list[tuple[bool, Any, int]] = []
     for letter in s.letters:
         if isinstance(letter, Var):
@@ -211,14 +203,14 @@ def _evaluate_prepared(
     prepared: list[tuple[bool, Any, int]],
     assignment: tuple[SolvableElement, ...],
     group: Any,
-) -> bool:
+) -> SolvableElement:
     result = group.identity()
     for is_var, payload, sign in prepared:
         value = assignment[payload] if is_var else payload
         if sign < 0:
             value = group.inv(value)
         result = group.mul(result, value)
-    return result.is_trivial()
+    return result
 
 
 def vanishes_on(f: MixedWord, sols: SolutionSet) -> bool:
@@ -233,8 +225,9 @@ def vanishes_on(f: MixedWord, sols: SolutionSet) -> bool:
             f"{sols.nvars}"
         )
     group = free_solvable_group(sols.m, sols.n)
+    prepared = _prepare(f, group)
     return all(
-        evaluate(f, assignment, group).is_trivial()
+        _evaluate_prepared(prepared, assignment, group).is_trivial()
         for assignment in sols.assignments
     )
 

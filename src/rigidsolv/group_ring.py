@@ -179,15 +179,3 @@ class RingElement:
     def __iter__(self) -> Iterator[tuple[Any, int]]:
         return iter(self.terms())
 
-
-def fundamental_ideal_combination(u: RingElement) -> list[tuple[Any, int]]:
-    """Express u - aug(u)*1 as sum of coeff*(g - 1) terms.
-
-    Witnesses that the fundamental ideal of ZB is exactly the kernel of
-    the augmentation map.
-    """
-    return [
-        (element, coeff)
-        for element, coeff in u.terms()
-        if not u.group.is_identity(element)
-    ]

@@ -518,25 +518,6 @@ def coset_rank(
     return laurent_rank(matrix)
 
 
-def ring_rows_to_laurent(
-    rows: Sequence[Sequence[RingElement]],
-) -> list[list[LaurentPoly]]:
-    """Rows over Z[Z^k] as a Laurent matrix in the full k variables."""
-    out = []
-    for row in rows:
-        laurent_row = []
-        for entry in row:
-            group = entry.group
-            poly = LaurentPoly.zero(group.ngens)
-            for element, coeff in entry.support.values():
-                poly = poly + LaurentPoly.monomial(
-                    group.ngens, abelian_exponents(group, element), coeff
-                )
-            laurent_row.append(poly)
-        out.append(laurent_row)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Principal dimensions
 

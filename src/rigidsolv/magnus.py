@@ -36,7 +36,8 @@ class SplitMatrix:
 
     The coordinate row may have any width; the splitting of a group
     presented on m generators uses width m = base.ngens, but wider or
-    narrower free module rows multiply by the same rule.
+    narrower free module rows multiply by the same rule; an element of
+    the wreath product Z^m wr B is a width-m row over B.
     """
 
     __slots__ = ("base", "top", "coords", "_key")

@@ -387,28 +387,16 @@ ALL_CHECKS: dict[str, Callable[..., CheckReport]] = {
     "retraction": check_retraction,
 }
 
-DEFAULT_SAMPLES: dict[str, int] = {
-    "product_rule": 500,
-    "sigma": 500,
-    "no_torsion": 200,
-    "series_criteria": 100,
-    "lex_drop": 1,
-    "rank_bounds": 50,
-    "retraction": 50,
-}
-
 
 def run_all(
     seed: int = 0, samples: int | None = None, only: str | None = None
 ) -> list[CheckReport]:
-    """Run the selected checks; samples overrides every default when set."""
+    """Run the selected checks; samples overrides each check's own
+    default when set."""
     names = [only] if only else list(ALL_CHECKS)
     if only and only not in ALL_CHECKS:
         raise ValueError(
             f"unknown check {only!r}; available: {', '.join(ALL_CHECKS)}"
         )
-    reports = []
-    for name in names:
-        count = samples if samples is not None else DEFAULT_SAMPLES[name]
-        reports.append(ALL_CHECKS[name](seed=seed, samples=count))
-    return reports
+    kwargs = {} if samples is None else {"samples": samples}
+    return [ALL_CHECKS[name](seed=seed, **kwargs) for name in names]

@@ -11,7 +11,9 @@ accepts `x3` / `X3` for a generator and its inverse, `$3` for a variable
     ( ... ) and { ... }                (grouping)
 
 Sugar is expanded during parsing, so every parse yields a flat letter
-sequence.
+sequence.  Nested sugar grows the expansion exponentially in the nesting
+depth, so each expansion is checked against `MAX_WORD_LENGTH` before it
+is built.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .errors import WordSyntaxError
+from .errors import CapExceededError, WordSyntaxError
 
 Word = tuple[int, ...]
 
@@ -97,6 +99,18 @@ _CLOSER = {"(": ")", "{": "}"}
 #: recursion limit; deeper input is a syntax error, not a crash.
 MAX_NESTING = 100
 
+#: Most letters a parsed word may have once its sugar is expanded;
+#: longer words raise CapExceededError before they are built.
+MAX_WORD_LENGTH = 1_000_000
+
+
+def _check_length(length: int) -> None:
+    if length > MAX_WORD_LENGTH:
+        raise CapExceededError(
+            f"word too long: {length} letters after expanding sugar "
+            f"exceeds cap {MAX_WORD_LENGTH}"
+        )
+
 
 class _Parser:
     def __init__(self, text: str, allow_vars: bool, ngens: int | None, line: int):
@@ -145,7 +159,9 @@ class _Parser:
             tok = self.peek()
             if tok is None or (tok[0] == "punct" and tok[1] in stop):
                 return tuple(items)
-            items.extend(self.term())
+            term = self.term()
+            _check_length(len(items) + len(term))
+            items.extend(term)
 
     def term(self) -> tuple[Letter, ...]:
         base = self.atom()
@@ -226,6 +242,7 @@ def _invert_items(items: tuple[Letter, ...]) -> tuple[Letter, ...]:
 
 
 def _power_items(items: tuple[Letter, ...], k: int) -> tuple[Letter, ...]:
+    _check_length(len(items) * abs(k))
     if k < 0:
         items = _invert_items(items)
         k = -k
@@ -233,10 +250,12 @@ def _power_items(items: tuple[Letter, ...], k: int) -> tuple[Letter, ...]:
 
 
 def _conjugate_items(u: tuple[Letter, ...], v: tuple[Letter, ...]) -> tuple[Letter, ...]:
+    _check_length(len(u) + 2 * len(v))
     return _invert_items(v) + u + v
 
 
 def _commutator_items(u: tuple[Letter, ...], v: tuple[Letter, ...]) -> tuple[Letter, ...]:
+    _check_length(2 * (len(u) + len(v)))
     return _invert_items(u) + _invert_items(v) + u + v
 
 

@@ -1,15 +1,19 @@
-"""Wreath products Z^m wr B in base-function form.
+"""Wreath products Z^m wr B as split matrices over B.
 
-An element is a finitely supported function from B to Z^m together with
-a top element of B; multiplication translates the left factor's base
-function by the right factor's top, (f.b)(x) = f(x b^-1), matching the
-split-matrix product through the conversion maps below.  Iterating the
-construction over Z^m gives W(m, n) = Z^m wr W(m, n-1) with
-W(m, 0) = Z^m.
+An element of Z^m wr B is a finitely supported function from B to Z^m
+together with a top element of B.  That function is the split matrix's
+coordinate row read pointwise: the i-th coordinate in ZB carries the
+i-th component of the vector at each point, and the basis row t_i is
+the delta at the identity with value e_i.  So a wreath element is a view
+over a `SplitMatrix` of width m, and the product, inverse and identity
+are the split-matrix ones; the translation rule (f.b)(x) = f(x b^-1) is
+the right translation of the row.  The base function is formed only to
+serialize an element (`base`, `key`, `to_json`), once per element.
 
-Level bookkeeping for the embedding of free solvable groups: S(m, 1) is
-literally W(m, 0), so S(m, n) embeds into W(m, n-1) (and hence into
-every higher level).  `embedding_codomain` returns that group.
+Iterating the construction over Z^m gives W(m, n) = Z^m wr W(m, n-1)
+with W(m, 0) = Z^m.  S(m, 1) is literally W(m, 0), so S(m, n) embeds
+into W(m, n-1) (and hence into every higher level);
+`embedding_codomain` returns that group.
 """
 
 from __future__ import annotations
@@ -24,36 +28,50 @@ from .magnus import SplitMatrix
 
 
 class WreathElement:
-    """Element of Z^m wr B: finitely supported base function plus top.
+    """Element of Z^m wr B: a width-m split matrix over B (the `top_group`).
 
-    base maps the canonical key of a B-element to (element, vector);
+    `base` maps the canonical key of a B-element to (element, vector);
     zero vectors are never stored.
     """
 
-    __slots__ = ("product", "base", "top", "_key")
+    __slots__ = ("product", "matrix", "_base", "_key")
 
-    def __init__(
-        self,
-        product: "WreathProduct",
-        base: dict[str, tuple[Any, tuple[int, ...]]],
-        top: Any,
-    ):
+    def __init__(self, product: "WreathProduct", matrix: SplitMatrix):
         self.product = product
-        self.base = base
-        self.top = top
+        self.matrix = matrix
+        self._base: dict[str, tuple[Any, tuple[int, ...]]] | None = None
         self._key: str | None = None
+
+    @property
+    def top(self) -> Any:
+        return self.matrix.top
+
+    @property
+    def base(self) -> dict[str, tuple[Any, tuple[int, ...]]]:
+        """The base function, collected pointwise from the coordinate row."""
+        if self._base is None:
+            coords = self.matrix.coords
+            collected: dict[str, tuple[Any, list[int]]] = {}
+            for slot, d in enumerate(coords):
+                for key, (element, coeff) in d.support.items():
+                    if key not in collected:
+                        collected[key] = (element, [0] * len(coords))
+                    collected[key][1][slot] = coeff
+            self._base = {
+                key: (element, tuple(vec)) for key, (element, vec) in collected.items()
+            }
+        return self._base
 
     def key(self) -> str:
         if self._key is None:
             top_group = self.product.top_group
-            inner = ",".join(
-                f"{key}:{self.base[key][1]}" for key in sorted(self.base)
-            )
+            base = self.base
+            inner = ",".join(f"{key}:{base[key][1]}" for key in sorted(base))
             self._key = f"w[{top_group.key(self.top)}|{inner}]"
         return self._key
 
     def is_trivial(self) -> bool:
-        return not self.base and self.product.top_group.is_identity(self.top)
+        return self.matrix.is_identity()
 
     def __mul__(self, other: "WreathElement") -> "WreathElement":
         return self.product.mul(self, other)
@@ -74,15 +92,13 @@ class WreathElement:
 
     def to_json(self) -> dict[str, Any]:
         top_group = self.product.top_group
+        base = self.base
         return {
             "level": self.product.level,
             "top": top_group.element_json(self.top),
             "base": [
-                {
-                    "at": top_group.element_json(self.base[key][0]),
-                    "vec": list(self.base[key][1]),
-                }
-                for key in sorted(self.base)
+                {"at": top_group.element_json(base[key][0]), "vec": list(base[key][1])}
+                for key in sorted(base)
             ],
         }
 
@@ -110,34 +126,16 @@ class WreathProduct(Group):
         return None
 
     def identity(self) -> WreathElement:
-        return WreathElement(self, {}, self.top_group.identity())
+        return WreathElement(self, SplitMatrix.identity(self.top_group, self.m))
 
     def mul(self, a: WreathElement, b: WreathElement) -> WreathElement:
         self._check(a)
         self._check(b)
-        top_group = self.top_group
-        if top_group.is_identity(b.top):
-            base = dict(a.base)
-        else:
-            base = {}
-            for element, vec in a.base.values():
-                shifted = top_group.mul(element, b.top)
-                base[top_group.key(shifted)] = (shifted, vec)
-        for key, (element, vec) in b.base.items():
-            if key in base:
-                total = tuple(x + y for x, y in zip(base[key][1], vec))
-                if any(total):
-                    base[key] = (element, total)
-                else:
-                    del base[key]
-            else:
-                base[key] = (element, vec)
-        return WreathElement(self, base, top_group.mul(a.top, b.top))
+        return WreathElement(self, a.matrix * b.matrix)
 
     def inv(self, a: WreathElement) -> WreathElement:
-        # One source of truth: inversion goes through the matrix form.
         self._check(a)
-        return matrix_to_function(function_to_matrix(a).inv())
+        return WreathElement(self, a.matrix.inv())
 
     def key(self, a: WreathElement) -> str:
         self._check(a)
@@ -153,12 +151,11 @@ class WreathProduct(Group):
         if not 1 <= i <= self.ngens:
             raise ValueError(f"bad generator index {i} (have {self.ngens})")
         if i <= self.m:
-            vec = tuple(1 if j == i - 1 else 0 for j in range(self.m))
-            identity = self.top_group.identity()
-            return WreathElement(
-                self, {self.top_group.key(identity): (identity, vec)}, identity
+            return self.delta(
+                self.top_group.identity(),
+                tuple(1 if j == i - 1 else 0 for j in range(self.m)),
             )
-        return WreathElement(self, {}, self.top_group.generator(i - self.m))
+        return self.lift(self.top_group.generator(i - self.m))
 
     def show(self, a: WreathElement) -> str:
         return a.key()
@@ -170,13 +167,14 @@ class WreathProduct(Group):
         """Base-only element supported at a single point."""
         if len(vec) != self.m:
             raise ValueError(f"expected vector of length {self.m}")
-        if not any(vec):
-            return self.identity()
-        return WreathElement(
-            self,
-            {self.top_group.key(at): (at, tuple(vec))},
-            self.top_group.identity(),
-        )
+        top_group = self.top_group
+        coords = [RingElement.monomial(top_group, at, coeff) for coeff in vec]
+        return WreathElement(self, SplitMatrix(top_group, top_group.identity(), coords))
+
+    def lift(self, top: Any) -> WreathElement:
+        """Top-only element: the zero base function on top of `top`."""
+        zero = RingElement.zero(self.top_group)
+        return WreathElement(self, SplitMatrix(self.top_group, top, [zero] * self.m))
 
     def _check(self, a: WreathElement) -> None:
         if not isinstance(a, WreathElement) or a.product != self:
@@ -199,39 +197,10 @@ def iterated_wreath(m: int, n: int) -> Group:
 def matrix_to_function(p: SplitMatrix) -> WreathElement:
     """Read a split matrix as a wreath element over the same base group.
 
-    The free module row (d_1, ..., d_m) over ZB is exactly a finitely
-    supported function B -> Z^m: the i-th basis row t_i corresponds to
-    the delta at the identity with value e_i.
+    A relabelling: the element is a view over `p` itself, and its
+    `matrix` gives `p` back.
     """
-    base_group = p.base
-    m = len(p.coords)
-    product = WreathProduct(m, base_group)
-    collected: dict[str, tuple[Any, list[int]]] = {}
-    for slot, d in enumerate(p.coords):
-        for key, (element, coeff) in d.support.items():
-            if key not in collected:
-                collected[key] = (element, [0] * m)
-            collected[key][1][slot] += coeff
-    base = {
-        key: (element, tuple(vec))
-        for key, (element, vec) in collected.items()
-        if any(vec)
-    }
-    return WreathElement(product, base, p.top)
-
-
-def function_to_matrix(w: WreathElement) -> SplitMatrix:
-    """Inverse of matrix_to_function."""
-    base_group = w.product.top_group
-    coords = []
-    for slot in range(w.product.m):
-        terms = [
-            (element, vec[slot])
-            for element, vec in w.base.values()
-            if vec[slot]
-        ]
-        coords.append(RingElement.from_terms(base_group, terms))
-    return SplitMatrix(base_group, w.top, coords)
+    return WreathElement(WreathProduct(len(p.coords), p.base), p)
 
 
 def embedding_codomain(m: int, n: int) -> Group:
@@ -243,8 +212,8 @@ def embed_free_solvable(e: Any) -> Any:
     """Injective homomorphism S(m, n) -> W(m, n-1).
 
     Class 0 and 1 map to exponent vectors; for n >= 2 the split matrix
-    is converted to function form level by level, pushing support keys
-    through the embedding of the base group.
+    over S(m, n-1) is carried to one over W(m, n-2) by embedding its top
+    and each distinct support element of its coordinates, recursively.
     """
     m, n = e.m, e.n
     if n == 0:
@@ -255,17 +224,18 @@ def embed_free_solvable(e: Any) -> Any:
     assert isinstance(codomain, WreathProduct)
     top_group = codomain.top_group
     matrix = e.body
-    base: dict[str, tuple[Any, tuple[int, ...]]] = {}
-    as_function = matrix_to_function(matrix)
-    for element, vec in as_function.base.values():
-        image = embed_free_solvable(element)
-        key = top_group.key(image)
-        if key in base:
-            total = tuple(x + y for x, y in zip(base[key][1], vec))
-            if any(total):
-                base[key] = (image, total)
-            else:
-                del base[key]
-        else:
-            base[key] = (image, vec)
-    return WreathElement(codomain, base, embed_free_solvable(matrix.top))
+    # The embedding is injective, so distinct support keys keep distinct
+    # image keys and each coordinate's support carries over term by term.
+    images: dict[str, tuple[str, Any]] = {}
+    coords = []
+    for d in matrix.coords:
+        support = {}
+        for key, (element, coeff) in d.support.items():
+            entry = images.get(key)
+            if entry is None:
+                image = embed_free_solvable(element)
+                entry = images[key] = (top_group.key(image), image)
+            support[entry[0]] = (entry[1], coeff)
+        coords.append(RingElement(top_group, support))
+    top = embed_free_solvable(matrix.top)
+    return WreathElement(codomain, SplitMatrix(top_group, top, coords))

@@ -184,14 +184,19 @@ def test_criterion_8_centralizer_equals_derived_subgroup():
 
 
 def test_criterion_9_wreath_consistency():
-    from rigidsolv.wreath import function_to_matrix, matrix_to_function
+    from rigidsolv.wreath import WreathProduct, matrix_to_function
 
     rng = random.Random(109)
     base = free_solvable_group(2, 1)
+    W = WreathProduct(2, base)
+    # x_i -> [[b_i, 0], [t_i, 1]] is the delta e_i at the identity on top b_i
+    images = [W.mul(W.generator(2 + i), W.generator(i)) for i in (1, 2)]
     failures = 0
     for _ in range(200):
-        p = eval_word(random_word(rng, 2, 8), base)
-        if function_to_matrix(matrix_to_function(p)) != p:
+        word = random_word(rng, 2, 8)
+        p = eval_word(word, base)
+        w = matrix_to_function(p)
+        if w.matrix is not p or w != W.evaluate_word(word, images):
             failures += 1
     codomain = embedding_codomain(2, 2)
     for _ in range(200):

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -155,6 +156,25 @@ def test_deep_nesting_exit_2(capsys):
     code, _, err = run(capsys, "solve", "-m", "2", "-n", "2", "-r", "1",
                        "-e", "(" * 3000 + "[$1,x1]" + ")" * 3000)
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "word",
+    [
+        "x1^(" * 100 + "x2" + ")" * 100,
+        "[x1," * 100 + "x2" + "]" * 100,
+        "x1^99999999999",
+    ],
+)
+def test_word_length_cap_exit_3(capsys, word):
+    # Sugar nested inside the bracket cap grows exponentially; the
+    # expansion is refused before it is built.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "normalize", "-m", "2", "-n", "2", word)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: word too long") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rigidsolv.errors import AmbientMismatchError
-from rigidsolv.group_ring import RingElement, fundamental_ideal_combination
+from rigidsolv.group_ring import RingElement
 from rigidsolv.groups import abelian_group
 from rigidsolv.free_solvable import free_solvable_group, normalize
 
@@ -163,6 +163,15 @@ def test_associativity_noncommutative_base():
 
 
 # -- fundamental ideal <-> augmentation zero -----------------------------------
+
+
+def fundamental_ideal_combination(u):
+    """u - aug(u)*1 as (g, coeff) pairs standing for sum of coeff*(g - 1)."""
+    return [
+        (element, coeff)
+        for element, coeff in u.terms()
+        if not u.group.is_identity(element)
+    ]
 
 
 def test_fundamental_ideal_iff_augmentation_zero():

@@ -6,7 +6,7 @@ import pytest
 from conftest import minor_rank_int, minor_rank_laurent
 
 from rigidsolv.group_ring import RingElement
-from rigidsolv.groups import abelian_group
+from rigidsolv.groups import abelian_exponents, abelian_group
 from rigidsolv.magnus import eval_word, restricted_module_generators
 from rigidsolv.free_solvable import free_solvable_group, normalize
 from rigidsolv.linalg import (
@@ -20,7 +20,6 @@ from rigidsolv.linalg import (
     lex_compare,
     matmul,
     principal_dimension_metabelian,
-    ring_rows_to_laurent,
     row_lattice_basis,
     smith_form,
     smith_rank,
@@ -35,6 +34,22 @@ def rand_poly(rng, nvars, terms=3, reach=2):
         exps = tuple(rng.randint(-reach, reach) for _ in range(nvars))
         p = p + LaurentPoly.monomial(nvars, exps, rng.randint(-reach, reach))
     return p
+
+
+def ring_rows_to_laurent(rows):
+    """Rows over Z[Z^k] as a Laurent matrix in the full k variables."""
+    out = []
+    for row in rows:
+        laurent_row = []
+        for entry in row:
+            k = entry.group.ngens
+            poly = LaurentPoly.zero(k)
+            for element, coeff in entry.support.values():
+                exps = abelian_exponents(entry.group, element)
+                poly = poly + LaurentPoly.monomial(k, exps, coeff)
+            laurent_row.append(poly)
+        out.append(laurent_row)
+    return out
 
 
 # -- smith normal form -----------------------------------------------------------

@@ -152,13 +152,15 @@ CORPUS = pathlib.Path(__file__).with_name("canonical_corpus.json")
 
 
 def test_canonical_json_corpus():
-    # SHA-256 digests of `normalize --json` and `fox --json` output, made
-    # by the left-to-right fold evaluator; flow evaluation must reproduce
-    # them byte for byte.
+    # SHA-256 digests of stdout: `normalize --json` and `fox --json` made
+    # by the left-to-right fold evaluator, and `wreath-embed` (JSON and
+    # text, with its exit code) made by the base-function wreath product.
+    # Flows and the split-matrix wreath view must reproduce them byte for
+    # byte.
     for entry in json.loads(CORPUS.read_text()):
         out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            assert main(entry["argv"]) == 0
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            assert main(entry["argv"]) == entry.get("exit", 0), entry["argv"]
         digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
         assert digest == entry["sha256"], entry["argv"]
 

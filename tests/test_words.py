@@ -1,8 +1,9 @@
 import pytest
 
-from rigidsolv.errors import WordSyntaxError
+from rigidsolv.errors import CapExceededError, WordSyntaxError
 from rigidsolv.words import (
     MAX_NESTING,
+    MAX_WORD_LENGTH,
     VarLetter,
     commutator,
     conjugate,
@@ -12,6 +13,9 @@ from rigidsolv.words import (
     parse_word,
     power,
     word_to_str,
+    _commutator_items,
+    _conjugate_items,
+    _power_items,
 )
 
 
@@ -91,6 +95,30 @@ def test_nesting_cap():
         assert info.value.column == len(opener) * depth + 1
     with pytest.raises(WordSyntaxError):
         parse_letters("(" * 3000 + "[$1,x1]" + ")" * 3000)
+
+
+def test_word_length_cap():
+    assert len(parse_word(f"x1^{MAX_WORD_LENGTH}")) == MAX_WORD_LENGTH
+    assert len(parse_word(f"x1^-{MAX_WORD_LENGTH - 1} x2")) == MAX_WORD_LENGTH
+    for text in (
+        f"x1^{MAX_WORD_LENGTH + 1}",
+        f"x1^-{MAX_WORD_LENGTH} x2",  # the juxtaposed letter overflows
+        f"x2^(x1^{MAX_WORD_LENGTH // 2})",  # conjugation: 1 + 2 * L letters
+        f"[x1^{MAX_WORD_LENGTH // 2}, x2]",  # commutator: 2 * (L + 1) letters
+    ):
+        with pytest.raises(CapExceededError):
+            parse_word(text)
+    with pytest.raises(CapExceededError):
+        parse_letters("[$1," * 20 + "x1^2000" + "]" * 20)
+    # Each sugar refuses its own expansion, before building it.
+    u = (1,) * (MAX_WORD_LENGTH // 2)
+    for expand in (
+        lambda: _power_items(u, 3),
+        lambda: _conjugate_items((2,), u),
+        lambda: _commutator_items(u, (2,)),
+    ):
+        with pytest.raises(CapExceededError):
+            expand()
 
 
 def test_generator_range_check():

@@ -5,19 +5,68 @@ import pytest
 from rigidsolv.errors import AmbientMismatchError
 from rigidsolv.group_ring import RingElement
 from rigidsolv.groups import abelian_group
-from rigidsolv.magnus import eval_word
+from rigidsolv.magnus import SplitMatrix, eval_word
 from rigidsolv.free_solvable import free_solvable_group, normalize
 from rigidsolv.verify import random_word
 from rigidsolv.words import parse_word
 from rigidsolv.wreath import (
     embed_free_solvable,
     embedding_codomain,
-    function_to_matrix,
     iterated_wreath,
     matrix_to_function,
 )
 
 ZZ = iterated_wreath(1, 1)  # Z wr Z
+
+
+# -- reference: the base-function product the split-matrix view replaced ------
+
+
+def reference_mul(top_group, a, b):
+    """(f, a) * (g, b) = (f.b + g, ab) on (base, top) pairs, translating
+    the left base function by the right top: (f.b)(x) = f(x b^-1)."""
+    (a_base, a_top), (b_base, b_top) = a, b
+    base = {}
+    for element, vec in a_base.values():
+        shifted = top_group.mul(element, b_top)
+        base[top_group.key(shifted)] = (shifted, vec)
+    for key, (element, vec) in b_base.items():
+        if key in base:
+            total = tuple(x + y for x, y in zip(base[key][1], vec))
+            if any(total):
+                base[key] = (element, total)
+            else:
+                del base[key]
+        else:
+            base[key] = (element, vec)
+    return base, top_group.mul(a_top, b_top)
+
+
+def reference_inv(top_group, a):
+    """(f, a)^-1 = (-(f.a^-1), a^-1)."""
+    base, top = a
+    top_inv = top_group.inv(top)
+    out = {}
+    for element, vec in base.values():
+        shifted = top_group.mul(element, top_inv)
+        out[top_group.key(shifted)] = (shifted, tuple(-x for x in vec))
+    return out, top_inv
+
+
+def reference_function_to_matrix(w):
+    """Rebuild the split matrix from the base function, slot by slot."""
+    top_group = w.product.top_group
+    coords = []
+    for slot in range(w.product.m):
+        terms = [(element, vec[slot]) for element, vec in w.base.values() if vec[slot]]
+        coords.append(RingElement.from_terms(top_group, terms))
+    return SplitMatrix(top_group, w.top, coords)
+
+
+def function_values(top_group, pair):
+    """A (base, top) pair as comparable plain data: vectors by key, top key."""
+    base, top = pair
+    return {key: vec for key, (_, vec) in base.items()}, top_group.key(top)
 
 
 # -- multiplication -----------------------------------------------------------
@@ -79,16 +128,17 @@ def test_roundtrip_random():
     for base in (abelian_group(2), free_solvable_group(2, 2)):
         for _ in range(40):
             p = eval_word(random_word(rng, 2, 8), base)
-            assert function_to_matrix(matrix_to_function(p)) == p
+            w = matrix_to_function(p)
+            assert w.matrix is p
+            assert reference_function_to_matrix(w) == p
 
 
 def test_identity_maps_to_identity():
-    from rigidsolv.magnus import SplitMatrix
-
     p = SplitMatrix.identity(abelian_group(2))
     w = matrix_to_function(p)
     assert w.is_trivial()
-    assert function_to_matrix(w).is_identity()
+    assert w.base == {}
+    assert reference_function_to_matrix(w).is_identity()
 
 
 def test_basis_correspondence():
@@ -107,7 +157,45 @@ def test_conversions_are_homomorphisms():
         p = eval_word(random_word(rng, 2, 6), base)
         q = eval_word(random_word(rng, 2, 6), base)
         assert matrix_to_function(p * q) == matrix_to_function(p) * matrix_to_function(q)
-        assert function_to_matrix(matrix_to_function(p).inv()) == p.inv()
+        assert reference_function_to_matrix(matrix_to_function(p).inv()) == p.inv()
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_base_after_mul_and_inv_matches_reference(level):
+    rng = random.Random(f"wreath reference {level}")
+    W = iterated_wreath(2, level)
+    top_group = W.top_group
+    max_len = {1: 12, 2: 8, 3: 5}[level]
+    e = top_group.identity()
+    deltas = [
+        ({top_group.key(e): (e, tuple(int(j == i) for j in range(2)))}, e)
+        for i in range(2)
+    ]
+    gens = deltas + [({}, g) for g in top_group.generators()]
+    for _ in range(12):
+        elements = []
+        for _ in range(2):
+            word = random_word(rng, W.ngens, max_len)
+            expected = ({}, top_group.identity())
+            for letter in word:
+                g = gens[abs(letter) - 1]
+                step = g if letter > 0 else reference_inv(top_group, g)
+                expected = reference_mul(top_group, expected, step)
+            w = W.evaluate_word(word)
+            assert function_values(top_group, (w.base, w.top)) == function_values(
+                top_group, expected
+            )
+            assert reference_function_to_matrix(w) == w.matrix
+            elements.append(w)
+        p, q = elements
+        product = W.mul(p, q)
+        assert function_values(top_group, (product.base, product.top)) == function_values(
+            top_group, reference_mul(top_group, (p.base, p.top), (q.base, q.top))
+        )
+        inverse = W.inv(p)
+        assert function_values(top_group, (inverse.base, inverse.top)) == function_values(
+            top_group, reference_inv(top_group, (p.base, p.top))
+        )
 
 
 # -- embedding -----------------------------------------------------------------
@@ -189,15 +277,9 @@ def test_no_torsion_sampling_in_wreath():
             continue
         result = W.identity()
         for h, coeff in u.terms():
-            conjugated = W.mul(W.mul(W.inv(_lift(W, h)), c), _lift(W, h))
+            conjugated = W.mul(W.mul(W.inv(W.lift(h)), c), W.lift(h))
             result = W.mul(result, W.pow(conjugated, coeff))
         assert not W.is_identity(result)
-
-
-def _lift(W, top_element):
-    from rigidsolv.wreath import WreathElement
-
-    return WreathElement(W, {}, top_element)
 
 
 # -- serialization ------------------------------------------------------------------
