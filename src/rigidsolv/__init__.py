@@ -1,7 +1,7 @@
 """Exact computation in free solvable groups and iterated wreath products."""
 
 from .errors import AmbientMismatchError, CapExceededError, WordSyntaxError
-from .groups import AbelianGroup, Group, abelian_group
+from .groups import Group
 from .group_ring import RingElement
 from .magnus import SplitMatrix, eval_word, restricted_module_generators, sigma
 from .free_solvable import (
@@ -9,7 +9,6 @@ from .free_solvable import (
     SolvableElement,
     ball_enumerate,
     free_solvable_group,
-    is_trivial,
     normalize,
     project,
     series_member_commutator,
@@ -49,7 +48,6 @@ from .words import Word, free_reduce, parse_word
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbelianGroup",
     "AmbientMismatchError",
     "CapExceededError",
     "CheckReport",
@@ -66,7 +64,6 @@ __all__ = [
     "WordSyntaxError",
     "WreathElement",
     "WreathProduct",
-    "abelian_group",
     "ball_enumerate",
     "closed_form_dimension",
     "coset_rank",
@@ -77,7 +74,6 @@ __all__ = [
     "evaluate",
     "free_reduce",
     "free_solvable_group",
-    "is_trivial",
     "iterated_wreath",
     "laurent_rank",
     "lex_compare",

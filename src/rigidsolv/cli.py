@@ -38,7 +38,7 @@ from .linalg import (
 from .magnus import eval_word, sigma
 from .verify import run_all
 from .words import parse_word
-from .wreath import embed_free_solvable, embedding_codomain
+from .wreath import embed_free_solvable, embedding_codomain, point_json
 
 
 def _print_element(e: SolvableElement, as_json: bool) -> None:
@@ -53,7 +53,7 @@ def _print_element(e: SolvableElement, as_json: bool) -> None:
         print(f"vector: {e.key()}")
     else:
         matrix = e.body
-        print(f"top: {matrix.base.show(matrix.top)}")
+        print(f"top: {matrix.base.key(matrix.top)}")
         for i, d in enumerate(matrix.coords, start=1):
             print(f"d[{i}]: {d}")
 
@@ -105,20 +105,20 @@ def _cmd_member(args: argparse.Namespace) -> int:
 
 
 def _cmd_fox(args: argparse.Namespace) -> int:
-    base = free_solvable_group(args.m, args.n - 1)
+    base = free_solvable_group(args.m, args.n).base
     matrix = eval_word(parse_word(args.word, ngens=args.m), base)
     if args.json:
         print(json.dumps(matrix.to_json()))
     else:
-        print(f"base: {base.label}")
-        print(f"top: {base.show(matrix.top)}")
+        print(f"base: S({args.m},{args.n - 1})")
+        print(f"top: {base.key(matrix.top)}")
         for i, d in enumerate(matrix.coords, start=1):
             print(f"d[{i}]: {d}")
     return 0
 
 
 def _cmd_sigma(args: argparse.Namespace) -> int:
-    base = free_solvable_group(args.m, args.n - 1)
+    base = free_solvable_group(args.m, args.n).base
     value = sigma(eval_word(parse_word(args.word, ngens=args.m), base))
     if args.json:
         print(json.dumps(value.to_json()))
@@ -132,15 +132,11 @@ def _cmd_wreath_embed(args: argparse.Namespace) -> int:
     image = embed_free_solvable(element)
     codomain = embedding_codomain(args.m, args.n)
     if args.json:
-        body = (
-            list(image)
-            if args.n <= 1
-            else image.to_json()
-        )
-        print(json.dumps({"codomain": codomain.label, "element": body}))
+        element_json = point_json(codomain, image)
+        print(json.dumps({"codomain": codomain.label, "element": element_json}))
     else:
         print(f"codomain: {codomain.label}")
-        print(codomain.key(image) if args.n <= 1 else image.key())
+        print(codomain.key(image))
     return 0
 
 

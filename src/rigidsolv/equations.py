@@ -174,10 +174,14 @@ def solve_ball(
     group = free_solvable_group(m, n)
     kwargs = {} if ball_cap is None else {"cap": ball_cap}
     ball = ball_enumerate(m, n, radius, **kwargs)
-    total = len(ball) ** nvars
-    if total > assignment_cap:
+    size = len(ball)
+    # Once the ball has 2 elements, more variables than the cap has bits
+    # exceed it, so size ** nvars is formed only for small nvars.
+    limit = assignment_cap if size < 2 else assignment_cap.bit_length()
+    if nvars > limit or size**nvars > assignment_cap:
         raise CapExceededError(
-            f"search space too large: {total} assignments exceeds cap {assignment_cap}"
+            f"search space too large: {size}^{nvars} assignments exceeds cap "
+            f"{assignment_cap}"
         )
     prepared = [_prepare(s, group) for s in system]
     solutions = []

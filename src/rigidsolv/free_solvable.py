@@ -1,9 +1,10 @@
 """Canonical forms and the word problem in free solvable groups S(m, n).
 
-S(m, 0) is trivial, S(m, 1) = Z^m, and for n >= 2 an element of S(m, n)
-is stored as its split matrix over S(m, n-1): a top element of class
-n-1 plus m group-ring coordinates.  The matrix itself is the canonical
-form - two words are equal in S(m, n) iff their matrices coincide - and
+S(m, 0) is trivial, S(m, 1) is the free abelian group Z^m (elements are
+exponent vectors), and for n >= 2 an element of S(m, n) is stored as its
+split matrix over S(m, n-1): a top element of class n-1 plus m
+group-ring coordinates.  The matrix itself is the canonical form - two
+words are equal in S(m, n) iff their matrices coincide - and
 the derived series G = G_1 > G_2 > ... > G_{n+1} = 1 is the group's
 principal series, so membership in G_i reduces to triviality of the
 class-(i-1) projection.
@@ -20,6 +21,14 @@ from .magnus import SplitMatrix, eval_word
 from .words import Word, commutator, conjugate
 
 DEFAULT_BALL_CAP = 1_000_000
+
+#: Highest class n for which S(m, n) is built; a higher class raises
+#: CapExceededError.  Products, keys and serialization recurse once per
+#: class (the default recursion limit is first hit near class 200), and
+#: a product of general elements translates each support element one
+#: class down, so its cost doubles about every class: [x1,x2] in S(2,12)
+#: prints 0.5 MB.  At the cap every subcommand still handles short words.
+MAX_CLASS = 12
 
 
 class SolvableElement:
@@ -98,15 +107,19 @@ class FreeSolvableGroup(Group):
             raise ValueError("rank m must be positive")
         if n < 0:
             raise ValueError("class n must be non-negative")
+        if n > MAX_CLASS:
+            raise CapExceededError(f"class {n} exceeds cap {MAX_CLASS}")
         self.m = m
         self.n = n
         self.ngens = m
-        self.label = f"S({m},{n})"
+        # S(m, 1) is Z^m, the bottom W(m, 0) of the iterated wreath products.
+        self.label = f"Z^{m}" if n == 1 else f"S({m},{n})"
 
     @property
     def base(self) -> "FreeSolvableGroup":
-        if self.n < 2:
-            raise ValueError("classes 0 and 1 have no base group")
+        """S(m, n-1), over which S(m, n) splits."""
+        if self.n < 1:
+            raise ValueError("class 0 has no base group")
         return free_solvable_group(self.m, self.n - 1)
 
     def identity(self) -> SolvableElement:
@@ -150,9 +163,6 @@ class FreeSolvableGroup(Group):
             raise ValueError(f"bad generator index {i} (rank {self.m})")
         return normalize(self.m, self.n, (i,))
 
-    def show(self, a: SolvableElement) -> str:
-        return a.key()
-
     def element_json(self, a: SolvableElement) -> dict[str, Any]:
         return a.to_json()
 
@@ -173,6 +183,7 @@ def normalize(m: int, n: int, word: Word) -> SolvableElement:
     is the word problem.  For n >= 2 the word is evaluated through the
     splitting homomorphism over S(m, n-1), recursively.
     """
+    group = free_solvable_group(m, n)
     for letter in word:
         if letter == 0 or abs(letter) > m:
             raise ValueError(f"bad generator index {letter} (rank {m})")
@@ -183,12 +194,7 @@ def normalize(m: int, n: int, word: Word) -> SolvableElement:
         for letter in word:
             vec[abs(letter) - 1] += 1 if letter > 0 else -1
         return SolvableElement(m, 1, tuple(vec))
-    return SolvableElement(m, n, eval_word(word, free_solvable_group(m, n - 1)))
-
-
-def is_trivial(e: SolvableElement) -> bool:
-    """The word problem: true iff e is the canonical identity."""
-    return e.is_trivial()
+    return SolvableElement(m, n, eval_word(word, group.base))
 
 
 def project(e: SolvableElement, k: int) -> SolvableElement:

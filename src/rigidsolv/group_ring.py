@@ -163,7 +163,7 @@ class RingElement:
         if not self.support:
             return "0"
         return " + ".join(
-            f"{coeff}*{self.group.show(element)}"
+            f"{coeff}*{self.group.key(element)}"
             for element, coeff in self.terms()
         )
 

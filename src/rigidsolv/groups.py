@@ -1,15 +1,14 @@
 """Base-group interface used by the group ring and matrix layers.
 
-A group object owns its element representation: elements are plain
-immutable values (tuples, matrices, ...) and all operations go through
-the group.  Every group provides a canonical key for each element - a
-deterministic string such that two elements are equal in the group iff
-their keys coincide.  Keys drive hashing, sorting, and serialization.
+A group object owns its element representation: elements are immutable
+values (canonical forms, split matrices, ...) and all operations go
+through the group.  Every group provides a canonical key for each
+element - a deterministic string such that two elements are equal in the
+group iff their keys coincide.  Keys drive hashing, sorting, and serialization.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Any, Sequence
 
 from .errors import AmbientMismatchError
@@ -22,7 +21,7 @@ class Group:
     Subclasses must set ``label`` (a string identifying the ambient group;
     two group objects are interchangeable iff labels match) and ``ngens``,
     and implement ``identity``, ``mul``, ``inv``, ``key``, ``generator``,
-    ``show``, and ``element_json``.
+    and ``element_json``.
     """
 
     label: str
@@ -43,9 +42,6 @@ class Group:
     def generator(self, i: int) -> Any:
         """Image of the i-th free generator, 1-based."""
         raise NotImplementedError
-
-    def show(self, a: Any) -> str:
-        return self.key(a)
 
     def element_json(self, a: Any) -> Any:
         raise NotImplementedError
@@ -105,62 +101,3 @@ class Group:
 def require_same_group(a: Group, b: Group) -> None:
     if a != b:
         raise AmbientMismatchError(f"ambient mismatch: {a.label} vs {b.label}")
-
-
-class AbelianGroup(Group):
-    """Free abelian group Z^m; elements are integer m-tuples."""
-
-    def __init__(self, rank: int):
-        if rank < 0:
-            raise ValueError("rank must be non-negative")
-        self.rank = rank
-        self.ngens = rank
-        self.label = f"Z^{rank}"
-
-    def identity(self) -> tuple[int, ...]:
-        return (0,) * self.rank
-
-    def mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(x + y for x, y in zip(a, b))
-
-    def inv(self, a: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(-x for x in a)
-
-    def key(self, a: tuple[int, ...]) -> str:
-        return "(" + ",".join(map(str, a)) + ")"
-
-    def generator(self, i: int) -> tuple[int, ...]:
-        if not 1 <= i <= self.rank:
-            raise ValueError(f"bad generator index {i} (have {self.rank})")
-        return tuple(1 if j == i - 1 else 0 for j in range(self.rank))
-
-    def show(self, a: tuple[int, ...]) -> str:
-        parts = []
-        for j, e in enumerate(a):
-            if e == 1:
-                parts.append(f"b{j + 1}")
-            elif e != 0:
-                parts.append(f"b{j + 1}^{e}")
-        return "*".join(parts) if parts else "1"
-
-    def element_json(self, a: tuple[int, ...]) -> list[int]:
-        return list(a)
-
-
-@lru_cache(maxsize=None)
-def abelian_group(rank: int) -> AbelianGroup:
-    return AbelianGroup(rank)
-
-
-def abelian_exponents(group: Group, element: Any) -> tuple[int, ...]:
-    """Exponent vector of an element of a free abelian base group.
-
-    Accepts plain Z^m groups and class-1 free solvable groups (whose
-    elements wrap an exponent vector).
-    """
-    if isinstance(group, AbelianGroup):
-        return tuple(element)
-    body = getattr(element, "body", None)
-    if getattr(element, "n", None) == 1 and body is not None:
-        return tuple(body)
-    raise ValueError(f"{group.label} is not a free abelian base group")

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Sequence
 
+from .errors import CapExceededError
 from .group_ring import RingElement
-from .groups import abelian_exponents
 from .magnus import restricted_module_generators
-from .free_solvable import free_solvable_group, normalize
+from .free_solvable import MAX_CLASS, free_solvable_group, normalize
 from .words import Word
 
 # ---------------------------------------------------------------------------
@@ -459,15 +459,15 @@ class LatticeSolver:
 
 
 def coset_rank(
-    rows: Sequence[Sequence[RingElement]], sub_basis: Sequence[Any]
+    rows: Sequence[Sequence[RingElement]], sub_basis: Sequence[Sequence[int]]
 ) -> int:
     """Rank over Z[A-bar] of the module spanned by rows of a free ZB-module.
 
-    B must be free abelian and A-bar is given by an independent set of
-    B-elements (checked; raises on a dependent sub-basis).  Support keys
-    are decomposed along the finitely many A-bar-cosets they occupy,
-    producing a block matrix over the Laurent ring in the A-bar
-    variables whose rank is the answer.
+    B must be free abelian, B = Z^m = S(m, 1), and A-bar is given by an
+    independent set of exponent vectors in Z^m (checked; raises on a
+    dependent sub-basis).  Support keys are decomposed along the finitely
+    many A-bar-cosets they occupy, producing a block matrix over the
+    Laurent ring in the A-bar variables whose rank is the answer.
     """
     if not rows:
         return 0
@@ -480,9 +480,10 @@ def coset_rank(
             if entry.group != group:
                 raise ValueError("ambient mismatch: rows over different rings")
     dim = group.ngens
-    basis_vectors = [abelian_exponents(group, b) for b in sub_basis]
-    solver = LatticeSolver(basis_vectors, dim)
-    nvars = len(basis_vectors)
+    if group != free_solvable_group(dim, 1):
+        raise ValueError(f"{group.label} is not a free abelian base group")
+    solver = LatticeSolver(sub_basis, dim)
+    nvars = len(sub_basis)
 
     # Group every support key by its coset fingerprint; the coset
     # representative is the appearing key with minimal canonical key.
@@ -490,7 +491,7 @@ def coset_rank(
     for row in rows:
         for entry in row:
             for key, (element, _) in entry.support.items():
-                vec = abelian_exponents(group, element)
+                vec = element.body
                 cosets.setdefault(solver.fingerprint(vec), []).append((key, vec))
     reps: dict[tuple[int, ...], tuple[str, tuple[int, ...]]] = {
         fp: min(members) for fp, members in cosets.items()
@@ -505,7 +506,7 @@ def coset_rank(
         out = [LaurentPoly.zero(nvars) for _ in columns]
         for slot, entry in enumerate(row):
             for element, coeff in entry.support.values():
-                vec = abelian_exponents(group, element)
+                vec = element.body
                 fp = solver.fingerprint(vec)
                 rep_vec = reps[fp][1]
                 offset = solver.coordinates(
@@ -568,7 +569,7 @@ def principal_dimension_metabelian(
     elements = [normalize(m, 2, w) for w in generators]
     base = free_solvable_group(m, 1)
     pairs = restricted_module_generators(list(generators), base)
-    exponent_matrix = [list(abelian_exponents(base, top)) for _, top in pairs]
+    exponent_matrix = [list(top.body) for _, top in pairs]
     r1, _ = smith_rank(exponent_matrix)
     if r1 == 0:
         raise ValueError("trivial image: generators die in the abelianization")
@@ -579,18 +580,9 @@ def principal_dimension_metabelian(
     )
     if abelian:
         return PrincipalDimension((r1,))
-    basis_vectors = row_lattice_basis(exponent_matrix)
-    sub_basis = [normalize(m, 1, _vector_word(vec)) for vec in basis_vectors]
     rows = [coords for coords, _ in pairs]
-    module_rank = coset_rank(rows, sub_basis)
+    module_rank = coset_rank(rows, row_lattice_basis(exponent_matrix))
     return PrincipalDimension((r1, module_rank - 1))
-
-
-def _vector_word(vector: Sequence[int]) -> Word:
-    letters: list[int] = []
-    for i, e in enumerate(vector, start=1):
-        letters.extend([i if e > 0 else -i] * abs(e))
-    return tuple(letters)
 
 
 def closed_form_dimension(family: str, m: int, n: int) -> PrincipalDimension:
@@ -603,6 +595,8 @@ def closed_form_dimension(family: str, m: int, n: int) -> PrincipalDimension:
     """
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 and n >= 1")
+    if n > MAX_CLASS:
+        raise CapExceededError(f"class {n} exceeds cap {MAX_CLASS}")
     if family in ("free_solvable", "free-solvable"):
         if n == 1:
             return PrincipalDimension((m,))

@@ -98,7 +98,7 @@ class SplitMatrix:
 
     def __str__(self) -> str:
         coords = ", ".join(str(d) for d in self.coords)
-        return f"[top={self.base.show(self.top)}; d=({coords})]"
+        return f"[top={self.base.key(self.top)}; d=({coords})]"
 
     __repr__ = __str__
 

@@ -398,5 +398,7 @@ def run_all(
         raise ValueError(
             f"unknown check {only!r}; available: {', '.join(ALL_CHECKS)}"
         )
+    if samples is not None and samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     kwargs = {} if samples is None else {"samples": samples}
     return [ALL_CHECKS[name](seed=seed, **kwargs) for name in names]

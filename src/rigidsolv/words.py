@@ -118,6 +118,10 @@ class _Parser:
         self.ngens = ngens
         self.line = line
         self.tokens: list[tuple[str, str, int]] = []
+        if not isinstance(text, str):
+            # Some argparse versions pass a command-line word "--" (after
+            # a first "--") on as an empty list.
+            raise WordSyntaxError(f"expected word text, got {text!r}", line, 1)
         for match in _TOKEN.finditer(text):
             kind = match.lastgroup
             if kind == "ws":

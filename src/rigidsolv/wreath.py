@@ -11,9 +11,10 @@ the right translation of the row.  The base function is formed only to
 serialize an element (`base`, `key`, `to_json`), once per element.
 
 Iterating the construction over Z^m gives W(m, n) = Z^m wr W(m, n-1)
-with W(m, 0) = Z^m.  S(m, 1) is literally W(m, 0), so S(m, n) embeds
-into W(m, n-1) (and hence into every higher level);
-`embedding_codomain` returns that group.
+with W(m, 0) = Z^m, which is the group S(m, 1) itself.  So S(m, n)
+embeds into W(m, n-1) (and hence into every higher level);
+`embedding_codomain` returns that group.  Serialized wreath elements
+write points of W(m, 0) as bare exponent lists (`point_json`).
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from typing import Any
 
 from .errors import AmbientMismatchError
 from .group_ring import RingElement
-from .groups import AbelianGroup, Group, abelian_group
+from .free_solvable import SolvableElement, free_solvable_group
+from .groups import Group
 from .magnus import SplitMatrix
 
 
@@ -95,9 +97,9 @@ class WreathElement:
         base = self.base
         return {
             "level": self.product.level,
-            "top": top_group.element_json(self.top),
+            "top": point_json(top_group, self.top),
             "base": [
-                {"at": top_group.element_json(base[key][0]), "vec": list(base[key][1])}
+                {"at": point_json(top_group, base[key][0]), "vec": list(base[key][1])}
                 for key in sorted(base)
             ],
         }
@@ -117,8 +119,8 @@ class WreathProduct(Group):
     @property
     def level(self) -> int | None:
         """Nesting depth when iterated over Z^m; None for other tops."""
-        if isinstance(self.top_group, AbelianGroup):
-            return 1 if self.top_group.rank == self.m else None
+        if self.top_group == free_solvable_group(self.m, 1):
+            return 1
         if isinstance(self.top_group, WreathProduct):
             inner = self.top_group.level
             if inner is not None and self.top_group.m == self.m:
@@ -157,9 +159,6 @@ class WreathProduct(Group):
             )
         return self.lift(self.top_group.generator(i - self.m))
 
-    def show(self, a: WreathElement) -> str:
-        return a.key()
-
     def element_json(self, a: WreathElement) -> dict[str, Any]:
         return a.to_json()
 
@@ -186,11 +185,11 @@ class WreathProduct(Group):
 
 @lru_cache(maxsize=None)
 def iterated_wreath(m: int, n: int) -> Group:
-    """W(m, n): Z^m for n = 0, else Z^m wr W(m, n-1)."""
+    """W(m, n): Z^m = S(m, 1) for n = 0, else Z^m wr W(m, n-1)."""
     if n < 0:
         raise ValueError("level must be non-negative")
     if n == 0:
-        return abelian_group(m)
+        return free_solvable_group(m, 1)
     return WreathProduct(m, iterated_wreath(m, n - 1))
 
 
@@ -208,34 +207,52 @@ def embedding_codomain(m: int, n: int) -> Group:
     return iterated_wreath(m, max(n - 1, 0))
 
 
-def embed_free_solvable(e: Any) -> Any:
+def point_json(group: Group, element: Any) -> Any:
+    """JSON of an element of a wreath product's top group.
+
+    Points of W(m, 0) = S(m, 1) are written as bare exponent lists, not
+    in the {"m", "n", "body"} form of S(m, n); other groups use their own
+    `element_json`.
+    """
+    if isinstance(element, SolvableElement) and element.n == 1:
+        return list(element.body)
+    return group.element_json(element)
+
+
+def embed_free_solvable(e: SolvableElement) -> Any:
     """Injective homomorphism S(m, n) -> W(m, n-1).
 
-    Class 0 and 1 map to exponent vectors; for n >= 2 the split matrix
-    over S(m, n-1) is carried to one over W(m, n-2) by embedding its top
-    and each distinct support element of its coordinates, recursively.
+    S(m, 1) is W(m, 0), so class 1 maps identically and class 0 to the
+    identity of Z^m.  For n >= 2 the split matrix over S(m, n-1) is
+    carried to one over W(m, n-2) by embedding its top and each support
+    element of its coordinates, recursively.  One memo, keyed by class
+    and canonical key, is shared across the recursion, so each distinct
+    element below e is embedded once.
     """
-    m, n = e.m, e.n
-    if n == 0:
-        return abelian_group(m).identity()
-    if n == 1:
-        return tuple(e.body)
-    codomain = iterated_wreath(m, n - 1)
-    assert isinstance(codomain, WreathProduct)
-    top_group = codomain.top_group
-    matrix = e.body
-    # The embedding is injective, so distinct support keys keep distinct
-    # image keys and each coordinate's support carries over term by term.
-    images: dict[str, tuple[str, Any]] = {}
-    coords = []
-    for d in matrix.coords:
-        support = {}
-        for key, (element, coeff) in d.support.items():
-            entry = images.get(key)
-            if entry is None:
-                image = embed_free_solvable(element)
-                entry = images[key] = (top_group.key(image), image)
-            support[entry[0]] = (entry[1], coeff)
-        coords.append(RingElement(top_group, support))
-    top = embed_free_solvable(matrix.top)
-    return WreathElement(codomain, SplitMatrix(top_group, top, coords))
+    if e.n == 0:
+        return free_solvable_group(e.m, 1).identity()
+    images: dict[tuple[int, str], Any] = {}
+
+    def embed(x: SolvableElement) -> Any:
+        if x.n == 1:
+            return x
+        memo = (x.n, x.key())
+        image = images.get(memo)
+        if image is None:
+            codomain = iterated_wreath(x.m, x.n - 1)
+            top_group = codomain.top_group
+            # The embedding is injective, so distinct support keys keep
+            # distinct image keys and each coordinate's support carries
+            # over term by term.
+            coords = []
+            for d in x.body.coords:
+                support = {}
+                for element, coeff in d.support.values():
+                    point = embed(element)
+                    support[point.key()] = (point, coeff)
+                coords.append(RingElement(top_group, support))
+            matrix = SplitMatrix(top_group, embed(x.body.top), coords)
+            image = images[memo] = WreathElement(codomain, matrix)
+        return image
+
+    return embed(e)

@@ -5,7 +5,14 @@ from __future__ import annotations
 
 import itertools
 
+from rigidsolv.free_solvable import SolvableElement
 from rigidsolv.linalg import LaurentPoly
+
+
+def zvec(*exponents):
+    """The element of Z^k = S(k, 1) with the given exponent vector."""
+    return SolvableElement(len(exponents), 1, tuple(exponents))
+
 
 # -- tiny permutation groups: independent soundness oracle ----------------
 # S_3 has derived length 2 and S_4 has derived length 3, so a word that is

@@ -4,6 +4,7 @@ import time
 import pytest
 
 from rigidsolv.cli import main
+from rigidsolv.free_solvable import MAX_CLASS
 
 
 def run(capsys, *argv):
@@ -222,3 +223,41 @@ def test_semantic_error_exit_2(capsys):
     code, _, err = run(capsys, "normalize", "-m", "2", "-n", "2", "x3")
     assert code == 2
     assert "generator index" in err
+
+
+def class_argv(command, n):
+    """A two-letter input for each subcommand that takes a class -n."""
+    group = ["-m", "2", "-n", str(n)]
+    return {
+        "normalize": ["normalize", *group, "x1 x2"],
+        "mul": ["mul", *group, "x1", "x2"],
+        "comm": ["comm", *group, "x1", "x2"],
+        "project": ["project", *group, "-k", "1", "x1 x2"],
+        "member": ["member", *group, "-i", "1", "x1 x2"],
+        "fox": ["fox", *group, "x1 x2"],
+        "sigma": ["sigma", *group, "x1 x2"],
+        "wreath-embed": ["wreath-embed", *group, "x1 x2"],
+        "pdim": ["pdim", *group, "--family", "wreath"],
+        "solve": ["solve", *group, "-r", "1", "-e", "x1 $1"],
+    }[command]
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["normalize", "mul", "comm", "project", "member", "fox", "sigma",
+     "wreath-embed", "pdim", "solve"],
+)
+def test_class_cap_exit_3(capsys, command):
+    # Above the cap the class is refused before any recursion into it.
+    code, out, err = run(capsys, *class_argv(command, MAX_CLASS))
+    assert code == 0 and out and err == ""
+    code, out, err = run(capsys, *class_argv(command, MAX_CLASS + 1))
+    assert code == 3 and out == ""
+    assert err == f"error: class {MAX_CLASS + 1} exceeds cap {MAX_CLASS}\n"
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_verify_rejects_nonpositive_samples(capsys, samples):
+    code, out, err = run(capsys, "verify", "--only", "lex_drop", "--samples", samples)
+    assert code == 2 and out == ""
+    assert err == f"error: samples must be at least 1, got {samples}\n"

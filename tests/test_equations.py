@@ -138,6 +138,13 @@ def test_solve_search_cap():
         solve_ball([MixedWord.parse("$1 $2")], 2, 2, 4, assignment_cap=100)
 
 
+@pytest.mark.parametrize("equation,radius", [("$9999999999", 1), ("$101", 0)])
+def test_solve_search_cap_before_power(equation, radius):
+    # Huge variable counts are refused before ball_size ** nvars is formed.
+    with pytest.raises(CapExceededError, match="search space too large"):
+        solve_ball([MixedWord.parse(equation)], 2, 2, radius, assignment_cap=100)
+
+
 def test_solve_declared_arity_too_small():
     with pytest.raises(ValueError, match="arity mismatch"):
         solve_ball([MixedWord.parse("$2")], 2, 2, 2, nvars=1)

@@ -9,7 +9,6 @@ from rigidsolv.group_ring import RingElement
 from rigidsolv.free_solvable import (
     ball_enumerate,
     free_solvable_group,
-    is_trivial,
     normalize,
     project,
     series_member_commutator,
@@ -67,17 +66,17 @@ def test_word_problem_separates_words():
 
 def test_trivial_ww_inverse_pattern():
     w = parse_word("x1 x2 X1 X2 x2 x1 X2 X1")
-    assert is_trivial(normalize(2, 2, w))
+    assert normalize(2, 2, w).is_trivial()
 
 
 def test_commutator_nontrivial():
-    assert not is_trivial(normalize(2, 2, C))
+    assert not normalize(2, 2, C).is_trivial()
 
 
 def test_depth_discriminating_word():
     w = parse_word("[[x1,x2],[x1,x2]^{x1}]")
-    assert is_trivial(normalize(2, 2, w))
-    assert not is_trivial(normalize(2, 3, w))
+    assert normalize(2, 2, w).is_trivial()
+    assert not normalize(2, 3, w).is_trivial()
     # independent certificate: a nontrivial image in S_4 (derived length 3)
     # proves the word survives three derived steps
     images = ((0, 2, 3, 1), (1, 0, 2, 3))
@@ -93,7 +92,7 @@ def test_triviality_soundness_against_finite_solvable_images():
         count = 0
         for _ in range(200):
             w = random_word(rng, 2, 8)
-            if not is_trivial(normalize(2, n, w)):
+            if not normalize(2, n, w).is_trivial():
                 continue
             count += 1
             for _ in range(10):
@@ -109,7 +108,7 @@ def test_triviality_sound_on_constructed_trivial_words():
         u = random_word(rng, 2, 5)
         v = random_word(rng, 2, 5)
         w = commutator(commutator(u, v), commutator(v, u))
-        assert is_trivial(normalize(2, 2, w))
+        assert normalize(2, 2, w).is_trivial()
 
 
 # -- project ----------------------------------------------------------------------

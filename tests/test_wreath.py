@@ -2,13 +2,15 @@ import random
 
 import pytest
 
+from conftest import zvec
+
 from rigidsolv.errors import AmbientMismatchError
 from rigidsolv.group_ring import RingElement
-from rigidsolv.groups import abelian_group
 from rigidsolv.magnus import SplitMatrix, eval_word
 from rigidsolv.free_solvable import free_solvable_group, normalize
 from rigidsolv.verify import random_word
 from rigidsolv.words import parse_word
+from rigidsolv import wreath
 from rigidsolv.wreath import (
     embed_free_solvable,
     embedding_codomain,
@@ -78,9 +80,9 @@ def test_z_wr_z_translation_rule():
     at = ZZ.mul(a, t)
     ta = ZZ.mul(t, a)
     # a*t carries the delta to the shifted point, t*a leaves it at e
-    assert at.base == {"(1)": ((1,), (1,))}
-    assert ta.base == {"(0)": ((0,), (1,))}
-    assert at.top == (1,) and ta.top == (1,)
+    assert at.base == {"(1)": (zvec(1), (1,))}
+    assert ta.base == {"(0)": (zvec(0), (1,))}
+    assert at.top == zvec(1) and ta.top == zvec(1)
     assert at != ta
 
 
@@ -93,7 +95,7 @@ def test_identity_law():
 def test_abelian_base_adds():
     a = ZZ.generator(1)
     aa = ZZ.mul(a, a)
-    assert aa.base == {"(0)": ((0,), (2,))}
+    assert aa.base == {"(0)": (zvec(0), (2,))}
     assert ZZ.top_group.is_identity(aa.top)
 
 
@@ -125,7 +127,7 @@ def test_associativity_and_inverses_sampled():
 
 def test_roundtrip_random():
     rng = random.Random(1)
-    for base in (abelian_group(2), free_solvable_group(2, 2)):
+    for base in (free_solvable_group(2, 1), free_solvable_group(2, 2)):
         for _ in range(40):
             p = eval_word(random_word(rng, 2, 8), base)
             w = matrix_to_function(p)
@@ -134,7 +136,7 @@ def test_roundtrip_random():
 
 
 def test_identity_maps_to_identity():
-    p = SplitMatrix.identity(abelian_group(2))
+    p = SplitMatrix.identity(free_solvable_group(2, 1))
     w = matrix_to_function(p)
     assert w.is_trivial()
     assert w.base == {}
@@ -144,10 +146,10 @@ def test_identity_maps_to_identity():
 def test_basis_correspondence():
     # the generator matrix (top b1, coords (1, 0)) is the delta at the
     # identity with value e1, on top shift b1
-    p = eval_word((1,), abelian_group(2))
+    p = eval_word((1,), free_solvable_group(2, 1))
     w = matrix_to_function(p)
-    assert w.top == (1, 0)
-    assert w.base == {"(0,0)": ((0, 0), (1, 0))}
+    assert w.top == zvec(1, 0)
+    assert w.base == {"(0,0)": (zvec(0, 0), (1, 0))}
 
 
 def test_conversions_are_homomorphisms():
@@ -202,9 +204,11 @@ def test_base_after_mul_and_inv_matches_reference(level):
 
 
 def test_class_one_is_identity_map():
+    # S(m, 1) is W(m, 0) = Z^m: the same group object, mapped identically.
     e = normalize(2, 1, (1, 2, 2))
-    assert embed_free_solvable(e) == (1, 2)
-    assert embedding_codomain(2, 1) == abelian_group(2)
+    assert embed_free_solvable(e) is e
+    assert embedding_codomain(2, 1) is free_solvable_group(2, 1)
+    assert embed_free_solvable(normalize(2, 0, (1,))) == zvec(0, 0)
 
 
 def test_embed_commutator_base_pattern():
@@ -214,9 +218,9 @@ def test_embed_commutator_base_pattern():
     assert image.product == codomain
     assert codomain.top_group.is_identity(image.top)
     # base function: -e1+e2 at the identity, +e1 at b2, -e2 at b1
-    assert image.base["(0,0)"] == ((0, 0), (-1, 1))
-    assert image.base["(0,1)"] == ((0, 1), (1, 0))
-    assert image.base["(1,0)"] == ((1, 0), (0, -1))
+    assert image.base["(0,0)"] == (zvec(0, 0), (-1, 1))
+    assert image.base["(0,1)"] == (zvec(0, 1), (1, 0))
+    assert image.base["(1,0)"] == (zvec(1, 0), (0, -1))
 
 
 def test_embed_identity():
@@ -235,6 +239,35 @@ def test_embed_multiplicative_and_trivial_preserving():
                 embed_free_solvable(u), embed_free_solvable(v)
             )
             assert u.is_trivial() == codomain.is_identity(embed_free_solvable(u))
+
+
+def test_embed_each_distinct_element_once(monkeypatch):
+    # The memo is shared across the recursion: one wreath element is built
+    # per distinct element of class >= 2 below e (its tops and supports).
+    built = []
+
+    class CountingElement(wreath.WreathElement):
+        __slots__ = ()
+
+        def __init__(self, product, matrix):
+            super().__init__(product, matrix)
+            built.append(self)
+
+    monkeypatch.setattr(wreath, "WreathElement", CountingElement)
+    e = normalize(2, 4, random_word(random.Random("embed memo"), 2, 40))
+    distinct = set()
+
+    def collect(x):
+        if x.n >= 2 and (x.n, x.key()) not in distinct:
+            distinct.add((x.n, x.key()))
+            collect(x.body.top)
+            for d in x.body.coords:
+                for element, _ in d.support.values():
+                    collect(element)
+
+    collect(e)
+    embed_free_solvable(e)
+    assert len(built) == len(distinct) > 20
 
 
 def test_level_bookkeeping_pinned():
@@ -266,11 +299,11 @@ def test_no_torsion_sampling_in_wreath():
         vec = tuple(rng.randint(-2, 2) for _ in range(2))
         if not any(vec):
             continue
-        at = tuple(rng.randint(-2, 2) for _ in range(2))
+        at = zvec(*(rng.randint(-2, 2) for _ in range(2)))
         c = W.delta(at, vec)
         terms = []
         for _ in range(rng.randint(1, 3)):
-            h = tuple(rng.randint(-2, 2) for _ in range(2))
+            h = zvec(*(rng.randint(-2, 2) for _ in range(2)))
             terms.append((h, rng.choice([-2, -1, 1, 2])))
         u = RingElement.from_terms(top, terms)
         if u.is_zero():
