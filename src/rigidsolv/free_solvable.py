@@ -293,10 +293,9 @@ def ball_enumerate(
     if radius < 0:
         raise ValueError("radius must be non-negative")
     group = free_solvable_group(m, n)
-    words_bound = _reduced_word_count(m, radius)
-    if words_bound > cap:
+    if _reduced_word_count(m, radius, cap) > cap:
         raise CapExceededError(
-            f"ball too large: about {words_bound} words exceeds cap {cap}"
+            f"ball too large: more than {cap} reduced words of length <= {radius}"
         )
     identity = group.identity()
     seen = {identity.key(): identity}
@@ -320,12 +319,21 @@ def ball_enumerate(
     return [seen[key] for key in sorted(seen)]
 
 
-def _reduced_word_count(m: int, radius: int) -> int:
-    """Number of freely reduced words of length <= radius over m generators."""
+def _reduced_word_count(m: int, radius: int, stop: int) -> int:
+    """Number of freely reduced words of length <= radius over m generators,
+    or a partial count above `stop` once the count passes it.
+
+    For m >= 2 the layers grow at least threefold, so the loop takes
+    O(log stop) steps whatever the radius; for m <= 1 the count is
+    1 + 2 * m * radius.
+    """
+    if m <= 1:
+        return 1 + 2 * m * radius
     total = 1
     layer = 1
     for step in range(radius):
         layer = layer * (2 * m if step == 0 else 2 * m - 1)
         total += layer
+        if total > stop:
+            break
     return total
-

@@ -1,16 +1,32 @@
 """Exact rank machinery: Smith normal form, Laurent matrix rank,
 coset decomposition, and principal dimensions of metabelian subgroups.
 
-Ranks over the commutative group rings Z[Z^k] are computed as ranks
-over the fraction field of the Laurent polynomial ring, by fraction-free
-(Bareiss) elimination: rows are first scaled by monomials to clear
-negative exponents, and every division in the elimination is an exact
-polynomial division.  Rank over noncommutative group rings (class >= 3
-quotients) is out of reach of this route and is not implemented.
+Both rank routines build nothing larger than a determinant.
+
+`laurent_rank` computes ranks over the commutative group rings Z[Z^k] as
+ranks over the fraction field of the Laurent polynomial ring.  It
+evaluates the matrix at one fixed point of (F_p^*)^k, p = 2^61 - 1, and
+takes the rank mod p; evaluation is a ring homomorphism, so that rank is
+a certified lower bound, and when it is full (min(rows, cols)) it is the
+answer, at the cost of one evaluation and one modular elimination.
+Otherwise fraction-free (Bareiss) elimination answers exactly: rows are
+first scaled by monomials to clear negative exponents, and every
+division in the elimination is an exact polynomial division.
+
+`smith_rank` takes the rank r and a nonzero r x r minor D from Bareiss
+elimination over Z; every invariant factor divides D, so they are read
+off a diagonalization of the matrix mod D (Domich-Kannan-Trotter), with
+entries bounded by D throughout.  `smith_form` keeps its unimodular
+transforms for the lattice code (`row_lattice_basis`, `LatticeSolver`).
+
+Rank over noncommutative group rings (class >= 3 quotients) is out of
+reach of this route and is not implemented.
 """
 
 from __future__ import annotations
 
+import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Sequence
@@ -204,10 +220,96 @@ def _min_exps(p: LaurentPoly) -> list[int]:
 def laurent_rank(matrix: Sequence[Sequence[LaurentPoly]]) -> int:
     """Rank over the fraction field of the Laurent ring.
 
+    Every entry is first evaluated at one fixed point of (F_p^*)^k,
+    p = PRIME, and the rank of the evaluated matrix is taken by Gaussian
+    elimination mod p.  Evaluation is a ring homomorphism, so a nonzero
+    minor of the evaluation lifts to a nonzero minor of the matrix: the
+    modular rank is a certified lower bound.  When it reaches
+    min(rows, cols) it is the rank, found in O(terms * k) modular
+    products for the evaluation plus O(rows * cols * min) for the
+    elimination.  Otherwise (a rank-deficient matrix, a point that hits a
+    zero of a minor, or a coefficient whose denominator vanishes mod p)
+    the exact answer comes from `laurent_rank_bareiss`.
+    """
+    rows = [list(row) for row in matrix]
+    if not rows or not rows[0]:
+        return 0
+    ncols = len(rows[0])
+    nvars = rows[0][0].nvars
+    for row in rows:
+        if len(row) != ncols:
+            raise ValueError("ragged matrix")
+        for entry in row:
+            entry._same(rows[0][0])
+    bound = _evaluation_rank(rows, nvars)
+    if bound == min(len(rows), ncols):
+        return bound
+    return laurent_rank_bareiss(rows)
+
+
+#: Modulus of the evaluation rank: the Mersenne prime 2^61 - 1.
+PRIME = (1 << 61) - 1
+
+
+def _evaluation_point(nvars: int) -> tuple[int, ...]:
+    rng = random.Random("laurent_rank")
+    return tuple(rng.randrange(2, PRIME - 1) for _ in range(nvars))
+
+
+def _evaluation_rank(rows: list[list[LaurentPoly]], nvars: int) -> int | None:
+    """Rank mod PRIME of the matrix evaluated at the fixed point, or None
+    when a coefficient's denominator is 0 mod PRIME."""
+    point = _evaluation_point(nvars)
+    monomials: dict[tuple[int, ...], int] = {}
+    values = []
+    for row in rows:
+        out = []
+        for entry in row:
+            total = 0
+            for exps, coeff in entry.terms.items():
+                den = coeff.denominator % PRIME
+                if not den:
+                    return None
+                mono = monomials.get(exps)
+                if mono is None:
+                    mono = 1
+                    for v, e in zip(point, exps):
+                        mono = mono * pow(v, e, PRIME) % PRIME
+                    monomials[exps] = mono
+                total += coeff.numerator * pow(den, -1, PRIME) * mono
+            out.append(total % PRIME)
+        values.append(out)
+    return _rank_mod_prime(values)
+
+
+def _rank_mod_prime(rows: list[list[int]]) -> int:
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot_row = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot_row is None:
+            continue
+        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        top = rows[rank]
+        inverse = pow(top[col], -1, PRIME)
+        for i in range(rank + 1, len(rows)):
+            factor = rows[i][col] * inverse % PRIME
+            if factor:
+                rows[i] = [(x - factor * y) % PRIME for x, y in zip(rows[i], top)]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
+def laurent_rank_bareiss(matrix: Sequence[Sequence[LaurentPoly]]) -> int:
+    """Rank over the fraction field of the Laurent ring, exactly.
+
     Fraction-free Bareiss elimination with deterministic pivoting: rows
     are normalized by monomial shifts to clear negative exponents, then
     eliminated column by column, dividing each step by the previous
-    pivot (an exact polynomial division).
+    pivot (an exact polynomial division).  Entries stay minors of the
+    shifted matrix, but their supports grow with the size, so this is the
+    slow exact route behind `laurent_rank`.
     """
     rows = [list(row) for row in matrix]
     if not rows or not rows[0]:
@@ -277,10 +379,6 @@ class SmithForm:
     left: list[list[int]]
     right: list[list[int]]
     rank: int
-
-    @property
-    def invariant_factors(self) -> tuple[int, ...]:
-        return tuple(d for d in self.diagonal if d != 0)
 
 
 def _identity_matrix(size: int) -> list[list[int]]:
@@ -386,11 +484,114 @@ def _col_sub(a: list[list[int]], j: int, t: int, q: int) -> None:
 
 
 def smith_rank(matrix: Sequence[Sequence[int]]) -> tuple[int, tuple[int, ...]]:
-    """Rank over Q and the nonzero invariant factors of an integer matrix."""
+    """Rank over Q and the nonzero invariant factors of an integer matrix.
+
+    No transforms are built and no entry grows past a determinant:
+
+    1. Fraction-free Bareiss elimination over Z gives the rank r and
+       D = |last pivot|, a nonzero r x r minor.  Every entry it forms is a
+       minor, so its size is bounded by Hadamard's inequality.
+    2. The certificate: s_1 * ... * s_r, the gcd of the r x r minors,
+       divides D, so every invariant factor divides D and the Smith form
+       of the matrix mod D (a diagonal over Z/D found with extended-gcd
+       2 x 2 row and column operations) determines them: its cokernel is
+       the cokernel over Z tensored with Z/D.
+    3. s_t = gcd(a_tt, D) for each diagonal entry, a gcd/lcm pass restores
+       the divisor chain, and its first r entries are the answer.
+
+    Cost: O(rows * cols * r) products of integers of O(r log(r * max))
+    bits for Bareiss, then at most log2(D) pivot refinements per diagonal
+    position, each O((rows + cols) * max(rows, cols)) operations mod D.
+    """
     if not matrix or not matrix[0]:
         return 0, ()
-    form = smith_form(matrix)
-    return form.rank, form.invariant_factors
+    rank, modulus = _integer_bareiss(matrix)
+    if rank == 0:
+        return 0, ()
+    return rank, tuple(_diagonal_mod(matrix, modulus)[:rank])
+
+
+def _integer_bareiss(matrix: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """Rank r and |last pivot|, a nonzero r x r minor, by fraction-free
+    elimination over Z (every division is exact)."""
+    rows = [[int(x) for x in row] for row in matrix]
+    rank, prev = 0, 1
+    for col in range(len(rows[0])):
+        pivot_row = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot_row is None:
+            continue
+        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        top = rows[rank]
+        pivot = top[col]
+        for i in range(rank + 1, len(rows)):
+            coef = rows[i][col]
+            rows[i] = [(pivot * x - coef * y) // prev for x, y in zip(rows[i], top)]
+        prev = pivot
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank, abs(prev)
+
+
+def _diagonal_mod(matrix: Sequence[Sequence[int]], modulus: int) -> list[int]:
+    """Divisor chain of gcd(a_tt, modulus) over a diagonalization of the
+    matrix mod `modulus`; a trailing block that vanishes gives `modulus`."""
+    a = [[int(x) % modulus for x in row] for row in matrix]
+    nrows, ncols = len(a), len(a[0])
+    size = min(nrows, ncols)
+    diagonal: list[int] = []
+    for t in range(size):
+        pivot = _smallest_nonzero(a, t)
+        if pivot is None:
+            diagonal += [modulus] * (size - t)
+            break
+        pi, pj = pivot
+        a[t], a[pi] = a[pi], a[t]
+        for row in a:
+            row[t], row[pj] = row[pj], row[t]
+        # Each pass either clears row and column t or replaces a[t][t] by
+        # a proper divisor of it, so there are at most log2(modulus) passes.
+        while True:
+            for i in range(t + 1, nrows):
+                if a[i][t]:
+                    s, u, p, q = _bezout(a[t][t], a[i][t])
+                    top, row = a[t], a[i]
+                    a[t] = [(s * x + u * y) % modulus for x, y in zip(top, row)]
+                    a[i] = [(p * y - q * x) % modulus for x, y in zip(top, row)]
+            for j in range(t + 1, ncols):
+                if a[t][j]:
+                    s, u, p, q = _bezout(a[t][t], a[t][j])
+                    for row in a:
+                        x, y = row[t], row[j]
+                        row[t] = (s * x + u * y) % modulus
+                        row[j] = (p * y - q * x) % modulus
+            if not any(a[i][t] for i in range(t + 1, nrows)):
+                break
+        diagonal.append(math.gcd(a[t][t], modulus))
+    # The gcd/lcm pass keeps the multiset of prime-power exponents.
+    for i in range(len(diagonal)):
+        for j in range(i + 1, len(diagonal)):
+            g = math.gcd(diagonal[i], diagonal[j])
+            diagonal[i], diagonal[j] = g, diagonal[i] * diagonal[j] // g
+    return diagonal
+
+
+def _bezout(a: int, b: int) -> tuple[int, int, int, int]:
+    """(s, u, a/g, b/g) with s*a + u*b = g = gcd(a, b) > 0, for a > 0.
+
+    The matrix [[s, u], [-b/g, a/g]] has determinant 1 and sends (a, b) to
+    (g, 0).  When a divides b it is s = 1, u = 0, which leaves the pivot
+    row (or column) as it is; without that case the pivot could cycle.
+    """
+    if b % a == 0:
+        return 1, 0, 1, b // a
+    s0, s1, r0, r1 = 1, 0, a, b
+    while r1:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    u = (r0 - s0 * a) // b
+    return s0, u, a // r0, b // r0
 
 
 def matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:

@@ -213,6 +213,18 @@ def test_cap_exceeded_exit_3(capsys):
     assert "search space too large" in err
 
 
+def test_ball_cap_checked_before_counting_the_radius(capsys):
+    # The reduced-word count stops once it passes --ball-cap, so a huge
+    # radius costs a few steps, not one big-integer step per unit.
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "solve", "-m", "2", "-n", "2", "-r", "1000000000", "-e", "x1 $1"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert err.startswith("error: ball too large") and err.count("\n") == 1
+
+
 def test_unknown_subcommand_exit_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from rigidsolv.cli import main
 from rigidsolv.errors import CapExceededError
+from rigidsolv.linalg import LaurentPoly, laurent_rank_bareiss
 from rigidsolv.verify import ALL_CHECKS
 from rigidsolv.words import parse_letters
 
@@ -86,6 +87,24 @@ def rectangular(entries):
     )
 
 
+@st.composite
+def laurent_text(draw):
+    """A well-formed Laurent matrix: nvars 0..3, non-unit denominators,
+    negative exponents, and with a row = row 1 + row 2 (concatenated term
+    lists) half the time, so the rank falls short of full and the exact
+    fallback runs."""
+    nvars = draw(st.integers(0, 3))
+    term = st.fixed_dictionaries({
+        "exps": st.lists(st.integers(-2, 2), min_size=nvars, max_size=nvars),
+        "num": st.integers(-3, 3),
+        "den": st.sampled_from([1, 1, 2, -3, 4]),
+    })
+    rows = draw(rectangular(st.lists(term, max_size=3)))
+    if len(rows) >= 3 and draw(st.booleans()):
+        rows[-1] = [a + b for a, b in zip(rows[0], rows[1])]
+    return json.dumps({"nvars": nvars, "rows": rows})
+
+
 matrix_text = st.one_of(
     rectangular(st.integers(-9, 9)).map(json.dumps),
     st.lists(st.lists(st.integers(-9, 9), max_size=4), max_size=4).map(json.dumps),
@@ -119,7 +138,8 @@ def argv_for(draw, command):
         return [command, *draw(json_flag), "-m", draw(ranks), "--", *generators], ""
     if command == "rank":
         kind = draw(st.sampled_from(["smith", "laurent"]))
-        return [command, *draw(json_flag), "--kind", kind, "-"], draw(matrix_text)
+        text = st.one_of(laurent_text(), matrix_text) if kind == "laurent" else matrix_text
+        return [command, *draw(json_flag), "--kind", kind, "-"], draw(text)
     if command == "solve":
         argv = [command, "-m", draw(ranks), "-n", draw(classes),
                 "-r", str(draw(st.integers(-1, 2))),
@@ -146,7 +166,7 @@ def run(argv, stdin):
             code = main(argv)
     finally:
         sys.stdin = saved
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.mark.parametrize(
@@ -158,7 +178,20 @@ def run(argv, stdin):
 @settings(max_examples=30, deadline=None)
 def test_generated_argv_holds_exit_contract(command, data):
     argv, stdin = data.draw(argv_for(command), label="argv")
-    code, err = run(argv, stdin)
+    code, _, err = run(argv, stdin)
     assert code in (0, 1, 2, 3)
     assert code != 1 or command == "verify"
     assert err.count("\n") <= 1 and "Traceback" not in err
+
+
+@given(text=laurent_text())
+@settings(max_examples=40, deadline=None)
+def test_generated_laurent_rank_is_exact(text):
+    # Full-rank matrices end on the modular path, the others on Bareiss;
+    # both must answer through `main` with exit 0 and the exact rank.
+    code, out, err = run(["rank", "--kind", "laurent", "--json", "-"], text)
+    data = json.loads(text)
+    matrix = [[LaurentPoly.from_json(data["nvars"], entry) for entry in row]
+              for row in data["rows"]]
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"rank": laurent_rank_bareiss(matrix)}

@@ -1,14 +1,18 @@
 import itertools
 import random
+import time
+from fractions import Fraction
 
 import pytest
 
 from conftest import minor_rank_int, minor_rank_laurent, zvec
 
+from rigidsolv import linalg
 from rigidsolv.group_ring import RingElement
 from rigidsolv.magnus import eval_word, restricted_module_generators
 from rigidsolv.free_solvable import free_solvable_group, normalize
 from rigidsolv.linalg import (
+    PRIME,
     LatticeSolver,
     LaurentPoly,
     PrincipalDimension,
@@ -16,6 +20,7 @@ from rigidsolv.linalg import (
     coset_rank,
     exact_div,
     laurent_rank,
+    laurent_rank_bareiss,
     lex_compare,
     matmul,
     principal_dimension_metabelian,
@@ -100,6 +105,72 @@ def test_smith_vs_minor_oracle_random_4x4():
         assert rank == minor_rank_int(matrix)
 
 
+def int_matrix(rng, rows, cols):
+    """The benchmark's Smith input recipe: entries uniform in [-9, 9]."""
+    return [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+
+
+def sympy_smith_rank(matrix):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+
+    form = smith_normal_form(sympy.Matrix(matrix), domain=sympy.ZZ)
+    diagonal = [abs(int(form[i, i])) for i in range(min(form.shape))]
+    factors = sorted(d for d in diagonal if d)
+    return len(factors), tuple(factors)
+
+
+def test_smith_rank_matches_sympy_sweep():
+    pytest.importorskip("sympy")
+    rng = random.Random(10)
+    kinds = {"plain": 0, "dependent": 0, "scaled": 0, "sparse": 0}
+    for trial in range(300):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        matrix = int_matrix(rng, rows, cols)
+        kind = ("plain", "dependent", "scaled", "sparse")[trial % 4]
+        if kind == "dependent" and rows >= 3:
+            matrix[-1] = [a + b for a, b in zip(matrix[0], matrix[1])]
+            matrix[-2] = [3 * a - b for a, b in zip(matrix[0], matrix[-1])]
+        elif kind == "scaled":
+            factor = rng.randint(2, 12)
+            matrix = [[factor * x for x in row] for row in matrix]
+        elif kind == "sparse":
+            matrix = [[x if rng.random() < 0.3 else 0 for x in row] for row in matrix]
+        kinds[kind] += 1
+        assert smith_rank(matrix) == sympy_smith_rank(matrix), matrix
+    assert min(kinds.values()) == 75
+
+
+def test_smith_rank_edge_shapes():
+    pytest.importorskip("sympy")
+    assert smith_rank([]) == smith_rank([[]]) == (0, ())
+    rng = random.Random(11)
+    shapes = [(r, c) for r in range(1, 9) for c in range(1, 9)]
+    for rows, cols in shapes:
+        zero = [[0] * cols for _ in range(rows)]
+        assert smith_rank(zero) == (0, ())
+    for k in range(1, 9):
+        for matrix in (int_matrix(rng, 1, k), int_matrix(rng, k, 1)):
+            assert smith_rank(matrix) == sympy_smith_rank(matrix)
+    # D = 12 in each: a factor equal to D (gcd(0, D) reads D too), a
+    # proper divisor of D; then D = 4 with a unit factor
+    assert smith_rank([[0, 12], [0, 24]]) == (1, (12,))
+    assert smith_rank([[0, 12], [0, -18]]) == (1, (6,))
+    assert smith_rank([[4, 6], [6, 9]]) == (1, (1,))
+    assert smith_rank([[6, 0], [0, 6]]) == (2, (6, 6))
+
+
+@pytest.mark.parametrize("seed, size", [(0, 7), (1, 8), (20, 20)])
+def test_smith_rank_bound_cases(seed, size):
+    # ROADMAP item 3: the benchmark's 7x7 seed 0 and 8x8 seed 1 matrices,
+    # which the transform loop never finished, and a 20x20 one.
+    matrix = int_matrix(random.Random(seed), size, size)
+    start = time.perf_counter()
+    result = smith_rank(matrix)
+    assert time.perf_counter() - start < 1.0
+    assert result == sympy_smith_rank(matrix)
+
+
 # -- laurent rank -------------------------------------------------------------------
 
 
@@ -160,6 +231,94 @@ def test_laurent_agrees_with_smith_on_constants():
             [LaurentPoly.const(2, x) for x in row] for row in matrix
         ]
         assert laurent_rank(embedded) == smith_rank(matrix)[0]
+
+
+def laurent_matrix(rng, size):
+    """The benchmark's Laurent input recipe: 2 variables, 3 terms per
+    entry, exponents in {-1, 0, 1}, coefficients in [-3, 3] minus 0."""
+    nonzero = [c for c in range(-3, 4) if c]
+    return [
+        [
+            sum(
+                (
+                    LaurentPoly.monomial(
+                        2, (rng.choice((-1, 0, 1)), rng.choice((-1, 0, 1))),
+                        rng.choice(nonzero),
+                    )
+                    for _ in range(3)
+                ),
+                LaurentPoly.zero(2),
+            )
+            for _ in range(size)
+        ]
+        for _ in range(size)
+    ]
+
+
+def test_laurent_fast_path_matches_bareiss_sweep():
+    rng = random.Random(12)
+    deficient = 0
+    for trial in range(300):
+        nvars = trial % 4
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        matrix = [
+            [
+                sum(
+                    (
+                        LaurentPoly.monomial(
+                            nvars,
+                            [rng.randint(-2, 2) for _ in range(nvars)],
+                            Fraction(rng.randint(-3, 3), rng.choice((1, 2, -3, 5))),
+                        )
+                        for _ in range(rng.randint(0, 3))
+                    ),
+                    LaurentPoly.zero(nvars),
+                )
+                for _ in range(cols)
+            ]
+            for _ in range(rows)
+        ]
+        if rows >= 3 and trial % 3 == 0:
+            matrix[-1] = [a + b for a, b in zip(matrix[0], matrix[1])]
+        rank = laurent_rank(matrix)
+        assert rank == laurent_rank_bareiss(matrix)
+        deficient += rank < min(rows, cols)
+    assert deficient >= 30  # the fallback ran on a good share of the sweep
+
+
+def test_laurent_rank_short_modular_rank_falls_back(monkeypatch):
+    # The modular rank is trusted only when it is full.  A point that is a
+    # zero of the determinant, or a denominator divisible by the prime,
+    # sends the matrix to the Bareiss route, which still answers exactly.
+    calls = []
+    monkeypatch.setattr(
+        linalg, "laurent_rank_bareiss",
+        lambda matrix: calls.append(matrix) or laurent_rank_bareiss(matrix),
+    )
+    t = LaurentPoly.monomial(1, (1,))
+    assert laurent_rank([[t, t + t], [t, t]]) == 2
+    assert not calls
+    root = t - LaurentPoly.const(1, linalg._evaluation_point(1)[0])
+    assert laurent_rank([[root]]) == 1
+    assert laurent_rank([[root, t], [LaurentPoly.zero(1), t]]) == 2
+    big = LaurentPoly.const(1, Fraction(1, PRIME))
+    assert laurent_rank([[big, t], [t, big]]) == 2
+    assert laurent_rank([[big, big], [big, big]]) == 1
+    assert len(calls) == 4
+
+
+def test_laurent_rank_mixed_ambients_rejected():
+    with pytest.raises(ValueError, match="ambient mismatch"):
+        laurent_rank([[LaurentPoly.const(1, 1), LaurentPoly.const(2, 1)]])
+
+
+def test_laurent_rank_bound_case():
+    # ROADMAP item 3: the benchmark's fixed 7x7 matrix (seed 7).
+    matrix = laurent_matrix(random.Random(7), 7)
+    start = time.perf_counter()
+    rank = laurent_rank(matrix)
+    assert time.perf_counter() - start < 1.0
+    assert rank == 7
 
 
 def test_exact_div():
