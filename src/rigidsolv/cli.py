@@ -38,12 +38,12 @@ from .linalg import (
 from .magnus import eval_word, sigma
 from .verify import run_all
 from .words import parse_word
-from .wreath import embed_free_solvable, embedding_codomain, point_json
+from .wreath import embed_free_solvable, embedding_codomain, point_text
 
 
 def _print_element(e: SolvableElement, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(e.to_json()))
+        print(e.json_text())
         return
     print(f"group: S({e.m},{e.n})")
     print(f"trivial: {'true' if e.is_trivial() else 'false'}")
@@ -108,7 +108,7 @@ def _cmd_fox(args: argparse.Namespace) -> int:
     base = free_solvable_group(args.m, args.n).base
     matrix = eval_word(parse_word(args.word, ngens=args.m), base)
     if args.json:
-        print(json.dumps(matrix.to_json()))
+        print(matrix.json_text())
     else:
         print(f"base: S({args.m},{args.n - 1})")
         print(f"top: {base.key(matrix.top)}")
@@ -121,7 +121,7 @@ def _cmd_sigma(args: argparse.Namespace) -> int:
     base = free_solvable_group(args.m, args.n).base
     value = sigma(eval_word(parse_word(args.word, ngens=args.m), base))
     if args.json:
-        print(json.dumps(value.to_json()))
+        print(value.json_text())
     else:
         print(str(value))
     return 0
@@ -132,8 +132,8 @@ def _cmd_wreath_embed(args: argparse.Namespace) -> int:
     image = embed_free_solvable(element)
     codomain = embedding_codomain(args.m, args.n)
     if args.json:
-        element_json = point_json(codomain, image)
-        print(json.dumps({"codomain": codomain.label, "element": element_json}))
+        label = json.dumps(codomain.label)
+        print(f'{{"codomain": {label}, "element": {point_text(codomain, image)}}}')
     else:
         print(f"codomain: {codomain.label}")
         print(codomain.key(image))
@@ -227,7 +227,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         assignment_cap=args.assignment_cap,
         ball_cap=args.ball_cap,
     )
-    print(json.dumps(solutions.to_json()))
+    print(solutions.json_text())
     return 0
 
 

@@ -134,19 +134,18 @@ class SolutionSet:
     def keys(self) -> list[tuple[str, ...]]:
         return [tuple(e.key() for e in a) for a in self.assignments]
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "params": {
-                "m": self.m,
-                "n": self.n,
-                "radius": self.radius,
-                "nvars": self.nvars,
-            },
-            "count": len(self.assignments),
-            "assignments": [
-                [e.to_json() for e in assignment] for assignment in self.assignments
-            ],
-        }
+    def json_text(self) -> str:
+        """Canonical JSON text {"params", "count", "assignments"}, joined
+        from the cached texts of the assigned elements."""
+        assignments = ", ".join(
+            "[" + ", ".join(e.json_text() for e in assignment) + "]"
+            for assignment in self.assignments
+        )
+        return (
+            f'{{"params": {{"m": {self.m}, "n": {self.n}, "radius": {self.radius}, '
+            f'"nvars": {self.nvars}}}, "count": {len(self.assignments)}, '
+            f'"assignments": [{assignments}]}}'
+        )
 
 
 def system_arity(system: Sequence[MixedWord]) -> int:

@@ -12,11 +12,12 @@ class-(i-1) projection.
 
 from __future__ import annotations
 
+import json
 from functools import lru_cache
 from typing import Any
 
 from .errors import CapExceededError
-from .groups import Group
+from .groups import Group, int_list_text
 from .magnus import SplitMatrix, eval_word
 from .words import Word, commutator, conjugate
 
@@ -38,13 +39,14 @@ class SolvableElement:
     SplitMatrix over S(m, n-1) for n >= 2.
     """
 
-    __slots__ = ("m", "n", "body", "_key")
+    __slots__ = ("m", "n", "body", "_key", "_text")
 
     def __init__(self, m: int, n: int, body: Any):
         self.m = m
         self.n = n
         self.body = body
         self._key: str | None = None
+        self._text: str | None = None
 
     @property
     def group(self) -> "FreeSolvableGroup":
@@ -89,14 +91,20 @@ class SolvableElement:
     def __repr__(self) -> str:
         return f"<S({self.m},{self.n}) {self.key()}>"
 
+    def json_text(self) -> str:
+        """Canonical JSON text {"m", "n", "body"}, built once per element."""
+        if self._text is None:
+            if self.n == 0:
+                body = "null"
+            elif self.n == 1:
+                body = int_list_text(self.body)
+            else:
+                body = self.body.json_text()
+            self._text = f'{{"m": {self.m}, "n": {self.n}, "body": {body}}}'
+        return self._text
+
     def to_json(self) -> dict[str, Any]:
-        if self.n == 0:
-            body: Any = None
-        elif self.n == 1:
-            body = list(self.body)
-        else:
-            body = self.body.to_json()
-        return {"m": self.m, "n": self.n, "body": body}
+        return json.loads(self.json_text())
 
 
 class FreeSolvableGroup(Group):
@@ -163,8 +171,8 @@ class FreeSolvableGroup(Group):
             raise ValueError(f"bad generator index {i} (rank {self.m})")
         return normalize(self.m, self.n, (i,))
 
-    def element_json(self, a: SolvableElement) -> dict[str, Any]:
-        return a.to_json()
+    def element_text(self, a: SolvableElement) -> str:
+        return a.json_text()
 
     def _check(self, a: SolvableElement) -> None:
         if not isinstance(a, SolvableElement) or (a.m, a.n) != (self.m, self.n):

@@ -170,11 +170,14 @@ class RingElement:
     def __repr__(self) -> str:
         return f"<Z[{self.group.label}] {self}>"
 
-    def to_json(self) -> list[dict[str, Any]]:
-        return [
-            {"coeff": coeff, "element": self.group.element_json(element)}
+    def json_text(self) -> str:
+        """Canonical JSON text: a list of {"coeff", "element"} terms in
+        canonical key order."""
+        text = self.group.element_text
+        return "[" + ", ".join(
+            f'{{"coeff": {coeff}, "element": {text(element)}}}'
             for element, coeff in self.terms()
-        ]
+        ) + "]"
 
     def __iter__(self) -> Iterator[tuple[Any, int]]:
         return iter(self.terms())

@@ -4,7 +4,10 @@ A group object owns its element representation: elements are immutable
 values (canonical forms, split matrices, ...) and all operations go
 through the group.  Every group provides a canonical key for each
 element - a deterministic string such that two elements are equal in the
-group iff their keys coincide.  Keys drive hashing, sorting, and serialization.
+group iff their keys coincide.  Keys drive hashing and sorting.  Each
+group also writes an element's canonical JSON text (`element_text`); the
+shared element classes cache that text, so a sub-element that sits under
+many parents is serialized once.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ class Group:
     Subclasses must set ``label`` (a string identifying the ambient group;
     two group objects are interchangeable iff labels match) and ``ngens``,
     and implement ``identity``, ``mul``, ``inv``, ``key``, ``generator``,
-    and ``element_json``.
+    and ``element_text``.
     """
 
     label: str
@@ -43,7 +46,8 @@ class Group:
         """Image of the i-th free generator, 1-based."""
         raise NotImplementedError
 
-    def element_json(self, a: Any) -> Any:
+    def element_text(self, a: Any) -> str:
+        """Canonical JSON text of an element, as `json.dumps` would write it."""
         raise NotImplementedError
 
     def equal(self, a: Any, b: Any) -> bool:
@@ -96,6 +100,11 @@ class Group:
 
     def __repr__(self) -> str:
         return self.label
+
+
+def int_list_text(values: Sequence[int]) -> str:
+    """JSON text of a list of integers, as `json.dumps` writes it."""
+    return "[" + ", ".join(map(str, values)) + "]"
 
 
 def require_same_group(a: Group, b: Group) -> None:

@@ -102,11 +102,11 @@ class SplitMatrix:
 
     __repr__ = __str__
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "top": self.base.element_json(self.top),
-            "coords": [d.to_json() for d in self.coords],
-        }
+    def json_text(self) -> str:
+        """Canonical JSON text {"top", "coords"}, joined from the cached
+        texts of the top and the support elements."""
+        coords = ", ".join(d.json_text() for d in self.coords)
+        return f'{{"top": {self.base.element_text(self.top)}, "coords": [{coords}]}}'
 
 
 @lru_cache(maxsize=4096)

@@ -8,13 +8,15 @@ the delta at the identity with value e_i.  So a wreath element is a view
 over a `SplitMatrix` of width m, and the product, inverse and identity
 are the split-matrix ones; the translation rule (f.b)(x) = f(x b^-1) is
 the right translation of the row.  The base function is formed only to
-serialize an element (`base`, `key`, `to_json`), once per element.
+serialize an element (`base`, `key`, `json_text`), once per element.
 
 Iterating the construction over Z^m gives W(m, n) = Z^m wr W(m, n-1)
 with W(m, 0) = Z^m, which is the group S(m, 1) itself.  So S(m, n)
 embeds into W(m, n-1) (and hence into every higher level);
 `embedding_codomain` returns that group.  Serialized wreath elements
-write points of W(m, 0) as bare exponent lists (`point_json`).
+write points of W(m, 0) as bare exponent lists and other points as their
+group's element text (`point_text`); each element caches its own text,
+so a point shared by many elements is written once.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Any
 from .errors import AmbientMismatchError
 from .group_ring import RingElement
 from .free_solvable import SolvableElement, free_solvable_group
-from .groups import Group
+from .groups import Group, int_list_text
 from .magnus import SplitMatrix
 
 
@@ -36,13 +38,14 @@ class WreathElement:
     zero vectors are never stored.
     """
 
-    __slots__ = ("product", "matrix", "_base", "_key")
+    __slots__ = ("product", "matrix", "_base", "_key", "_text")
 
     def __init__(self, product: "WreathProduct", matrix: SplitMatrix):
         self.product = product
         self.matrix = matrix
         self._base: dict[str, tuple[Any, tuple[int, ...]]] | None = None
         self._key: str | None = None
+        self._text: str | None = None
 
     @property
     def top(self) -> Any:
@@ -92,17 +95,23 @@ class WreathElement:
     def __repr__(self) -> str:
         return f"<{self.product.label} {self.key()}>"
 
-    def to_json(self) -> dict[str, Any]:
-        top_group = self.product.top_group
-        base = self.base
-        return {
-            "level": self.product.level,
-            "top": point_json(top_group, self.top),
-            "base": [
-                {"at": point_json(top_group, base[key][0]), "vec": list(base[key][1])}
+    def json_text(self) -> str:
+        """Canonical JSON text {"level", "top", "base"}, built once per
+        element; the base function is listed in canonical key order."""
+        if self._text is None:
+            top_group = self.product.top_group
+            base = self.base
+            points = ", ".join(
+                f'{{"at": {point_text(top_group, base[key][0])}, '
+                f'"vec": {int_list_text(base[key][1])}}}'
                 for key in sorted(base)
-            ],
-        }
+            )
+            level = self.product.level
+            self._text = (
+                f'{{"level": {"null" if level is None else level}, '
+                f'"top": {point_text(top_group, self.top)}, "base": [{points}]}}'
+            )
+        return self._text
 
 
 class WreathProduct(Group):
@@ -159,8 +168,8 @@ class WreathProduct(Group):
             )
         return self.lift(self.top_group.generator(i - self.m))
 
-    def element_json(self, a: WreathElement) -> dict[str, Any]:
-        return a.to_json()
+    def element_text(self, a: WreathElement) -> str:
+        return a.json_text()
 
     def delta(self, at: Any, vec: tuple[int, ...]) -> WreathElement:
         """Base-only element supported at a single point."""
@@ -207,16 +216,16 @@ def embedding_codomain(m: int, n: int) -> Group:
     return iterated_wreath(m, max(n - 1, 0))
 
 
-def point_json(group: Group, element: Any) -> Any:
-    """JSON of an element of a wreath product's top group.
+def point_text(group: Group, element: Any) -> str:
+    """JSON text of an element of a wreath product's top group.
 
     Points of W(m, 0) = S(m, 1) are written as bare exponent lists, not
     in the {"m", "n", "body"} form of S(m, n); other groups use their own
-    `element_json`.
+    `element_text`.
     """
     if isinstance(element, SolvableElement) and element.n == 1:
-        return list(element.body)
-    return group.element_json(element)
+        return int_list_text(element.body)
+    return group.element_text(element)
 
 
 def embed_free_solvable(e: SolvableElement) -> Any:

@@ -1,10 +1,13 @@
+import contextlib
 import json
+import random
 import time
 
 import pytest
 
 from rigidsolv.cli import main
 from rigidsolv.free_solvable import MAX_CLASS
+from rigidsolv.words import word_to_str
 
 
 def run(capsys, *argv):
@@ -273,3 +276,25 @@ def test_verify_rejects_nonpositive_samples(capsys, samples):
     code, out, err = run(capsys, "verify", "--only", "lex_drop", "--samples", samples)
     assert code == 2 and out == ""
     assert err == f"error: samples must be at least 1, got {samples}\n"
+
+
+def test_long_word_json_writes_shared_elements_once(tmp_path):
+    # A freely reduced 200-letter word in S(2,4) prints 56 MB of JSON,
+    # the expanded tree of a DAG whose shared sub-elements are each
+    # serialized once (8 s when every occurrence was rebuilt).
+    rng = random.Random(2)
+    letters = []
+    while len(letters) < 200:
+        letter = rng.choice((1, -1, 2, -2))
+        if not letters or letters[-1] != -letter:
+            letters.append(letter)
+    path = tmp_path / "out.json"
+    with open(path, "w", encoding="utf-8") as handle:
+        with contextlib.redirect_stdout(handle):
+            start = time.perf_counter()
+            code = main(["normalize", "-m", "2", "-n", "4", "--json",
+                         word_to_str(letters)])
+            elapsed = time.perf_counter() - start
+    assert code == 0
+    assert elapsed < 2.0
+    assert path.stat().st_size > 50_000_000

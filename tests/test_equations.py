@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -199,7 +200,7 @@ def test_not_equivalent_to_empty_system():
 
 def test_solution_set_json_schema():
     sol = solve_ball([MixedWord.parse("$1")], 2, 2, 1)
-    data = sol.to_json()
+    data = json.loads(sol.json_text())
     assert data["params"] == {"m": 2, "n": 2, "radius": 1, "nvars": 1}
     assert data["count"] == 1
     assert len(data["assignments"]) == 1

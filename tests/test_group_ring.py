@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -225,7 +226,7 @@ def test_str_schema():
 
 def test_json_roundtrip():
     u = RingElement.from_terms(Z2, [(zvec(1, 0), 2), (zvec(0, -1), -1)])
-    data = u.to_json()
+    data = json.loads(u.json_text())
     assert data == [
         {"coeff": -1, "element": {"m": 2, "n": 1, "body": [0, -1]}},
         {"coeff": 2, "element": {"m": 2, "n": 1, "body": [1, 0]}},

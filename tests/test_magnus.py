@@ -154,7 +154,10 @@ def test_canonical_json_corpus():
     # by the left-to-right fold evaluator, and `wreath-embed` (JSON and
     # text, with its exit code) made by the base-function wreath product.
     # Flows and the split-matrix wreath view must reproduce them byte for
-    # byte.
+    # byte.  The later entries (`mul`, `comm`, `project`, `sigma`,
+    # `solve`, and text-mode `normalize` and `fox`, over m = 1..3 and
+    # n = 0..4) were made by the dict-tree serializer that `json.dumps`
+    # walked; the cached element texts must reproduce them too.
     for entry in json.loads(CORPUS.read_text()):
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
@@ -266,7 +269,7 @@ def test_empty_generators_rejected():
 
 def test_split_matrix_json():
     p = eval_word((1,), Z2)
-    assert p.to_json() == {
+    assert json.loads(p.json_text()) == {
         "top": {"m": 2, "n": 1, "body": [1, 0]},
         "coords": [[{"coeff": 1, "element": {"m": 2, "n": 1, "body": [0, 0]}}], []],
     }

@@ -74,3 +74,11 @@ def test_failures_carry_reproduction_data():
     report.failures.append({"w": "x1"})
     assert not report.passed
     assert "FAIL" in report.summary()
+
+
+def test_lex_drop_reports_its_one_sample():
+    # One fixed case: a requested sample count is not echoed back.
+    report = run_all(only="lex_drop", samples=100_000_000)[0]
+    assert report.passed
+    assert report.samples == 1
+    assert check_lex_drop(samples=7).to_json()["samples"] == 1

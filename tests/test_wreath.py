@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -321,7 +322,7 @@ def test_no_torsion_sampling_in_wreath():
 def test_wreath_json_schema():
     a = ZZ.generator(1)
     t = ZZ.generator(2)
-    data = ZZ.mul(a, t).to_json()
+    data = json.loads(ZZ.mul(a, t).json_text())
     assert data == {
         "level": 1,
         "top": [1],
