@@ -3,20 +3,32 @@ vanishing tests.
 
 A mixed word is a sequence of variable occurrences and constant words;
 evaluating it at a tuple of group elements substitutes each variable.
-`solve_ball` enumerates assignments over a ball exhaustively, so the
-returned set is the honest solution set restricted to the ball - an
-empty result never claims the equation has no solutions in the whole
-group.  For the same reason the one-sided vanishing test is named
-`vanishes_on`, not a radical membership test.
+`solve_ball` decides every assignment over a ball, so the returned set
+is the honest solution set restricted to the ball - an empty result
+never claims the equation has no solutions in the whole group.  For the
+same reason the one-sided vanishing test is named `vanishes_on`, not a
+radical membership test.
+
+The solver filters, confirms and backtracks.  Variables are bound one at
+a time, and each equation is tested as soon as its last variable is
+bound: first by its fingerprint (`fingerprint.Fingerprint`, a
+homomorphism of S(m, n) into matrices mod p, taken at level
+min(n, FILTER_LEVEL) through the projection), which rejects a tuple only
+when it proves the equation's value nontrivial, so no solution is ever
+dropped; then, for the tuples the fingerprint cannot rule out, by the
+exact product of canonical forms, so no non-solution is kept.  A tuple
+costs a few matrix-vector products mod p (15 modular products each at
+level 4); exact products and exact inverses are paid only by survivors.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Sequence, Union
+from typing import Any, Callable, Iterator, Sequence, Union
 
 from .errors import CapExceededError
+from .fingerprint import Fingerprint, apply, inverse
 from .free_solvable import (
     SolvableElement,
     ball_enumerate,
@@ -152,6 +164,20 @@ def system_arity(system: Sequence[MixedWord]) -> int:
     return max((s.nvars for s in system), default=0)
 
 
+#: Level of the solver's fingerprint filter: a ball in S(m, n) is
+#: fingerprinted through its image in S(m, min(n, FILTER_LEVEL)).  From
+#: level 3 on, a level-k fingerprint is blind to much of the (k-1)-th
+#: derived subgroup, so each level sees one derived term deeper, for
+#: about 3x the modular products per matrix-vector product (5, 15, 51 at
+#: levels 3, 4, 5).
+#: Measured on balls in S(2,4), level 4 over level 3 cut
+#: [[$1,x1],[$2,x2]] at r=2 from 2.50 s to 0.34 s and [[$1,$2],[x1,x2]]
+#: at r=3 from 39 s to 0.69 s, and cost 15% on [$1,$2] at r=3
+#: (100 -> 115 ms), which level 2 already filters exactly.  A full-level
+#: fingerprint of S(2,12) would have degree 2048.
+FILTER_LEVEL = 4
+
+
 def solve_ball(
     system: Sequence[MixedWord],
     m: int,
@@ -162,7 +188,13 @@ def solve_ball(
     ball_cap: int | None = None,
 ) -> SolutionSet:
     """All assignments from the ball product on which every equation
-    evaluates to the identity; deterministic canonical order."""
+    evaluates to the identity; deterministic canonical order.
+
+    Equations without variables are decided once, and variables that
+    occur in no equation range over the whole ball.  The others are
+    found by `_BallSearch`: filter by fingerprint, confirm exactly,
+    backtrack.
+    """
     if nvars is None:
         nvars = system_arity(system)
     elif nvars < system_arity(system):
@@ -183,12 +215,151 @@ def solve_ball(
             f"{assignment_cap}"
         )
     prepared = [_prepare(s, group) for s in system]
-    solutions = []
-    for assignment in itertools.product(ball, repeat=nvars):
-        if all(_evaluate_prepared(p, assignment, group).is_trivial() for p in prepared):
-            solutions.append(assignment)
+    with_vars = [p for p in prepared if any(is_var for is_var, _, _ in p)]
+    constant = [p for p in prepared if not any(is_var for is_var, _, _ in p)]
+    solutions: list[tuple[SolvableElement, ...]] = []
+    if all(_evaluate_prepared(p, (), group).is_trivial() for p in constant):
+        pool = tuple(ball)
+        for partial in _BallSearch(ball, group, with_vars, nvars).run():
+            pools = [pool if value is None else (value,) for value in partial]
+            solutions.extend(itertools.product(*pools))
     solutions.sort(key=lambda a: tuple(e.key() for e in a))
     return SolutionSet(m, n, radius, nvars, tuple(solutions))
+
+
+class _BallSearch:
+    """Depth-first search over the ball for the variables that occur in
+    the system, bound in increasing order.
+
+    Each equation is checked at the depth of its last variable x: first
+    by the fingerprint (`fingerprint.Fingerprint` at level
+    min(n, FILTER_LEVEL)), whose rho(w) v != v proves w != 1, and only
+    then, for the candidates it cannot rule out, by the exact product.
+    The filter never drops a solution, and the exact check keeps no
+    non-solution.  The letters after the last occurrence of x are fixed
+    at that depth, so their image of v is formed once per visit; each
+    candidate then costs one matrix-vector product per remaining letter.
+    Fingerprints and their inverses are formed once per ball element,
+    exact inverses once per element that reaches an exact check.
+    """
+
+    def __init__(
+        self,
+        ball: list[SolvableElement],
+        group: Any,
+        system: list[list[tuple[bool, Any, int]]],
+        nvars: int,
+    ):
+        self.ball = ball
+        self.group = group
+        fingerprint = Fingerprint(group.n, FILTER_LEVEL)
+        self.vector = fingerprint.vector
+        matrices = [fingerprint.matrix(e) for e in ball]
+        # Per sign of a variable occurrence: each ball element's matrix,
+        # and its image of the vector.
+        self.matrices = {1: matrices, -1: [inverse(a) for a in matrices]}
+        self.images = {
+            sign: [apply(a, self.vector) for a in self.matrices[sign]]
+            for sign in (1, -1)
+        }
+        self.inverses: list[SolvableElement | None] = [None] * len(ball)
+        # Per last variable x: (letters before its last occurrence, its
+        # sign there, letters after it, word).
+        tests: dict[int, list[Any]] = {}
+        for prepared in system:
+            letters = [
+                (is_var, payload if is_var else fingerprint.matrix(payload), sign)
+                for is_var, payload, sign in prepared
+            ]
+            slot = max(payload for is_var, payload, _ in prepared if is_var)
+            last = max(i for i, (is_var, payload, _) in enumerate(prepared)
+                       if is_var and payload == slot)
+            tests.setdefault(slot, []).append(
+                (letters[:last], letters[last][2], letters[last + 1 :], prepared)
+            )
+        occurring = {payload for p in system for is_var, payload, _ in p if is_var}
+        self.order = sorted(occurring)
+        self.tests = [tests.get(slot, []) for slot in self.order]
+        self.indices = [0] * nvars
+        self.values: list[SolvableElement | None] = [None] * nvars
+
+    def run(self) -> Iterator[tuple[SolvableElement | None, ...]]:
+        """Every assignment of the occurring variables that solves the
+        system, over all variables with None at the others."""
+        depths = len(self.order)
+        if not depths:
+            yield tuple(self.values)
+            return
+        starts = [0] * depths
+        plans: list[Any] = [self._plan(0)] + [None] * (depths - 1)
+        depth = 0
+        while depth >= 0:
+            idx = self._next(depth, starts[depth], plans[depth])
+            if idx is None:
+                depth -= 1
+                continue
+            starts[depth] = idx + 1
+            if depth + 1 == depths:
+                yield tuple(self.values)
+            else:
+                depth += 1
+                starts[depth] = 0
+                plans[depth] = self._plan(depth)
+
+    def _plan(self, depth: int) -> list[Any]:
+        """The tests at this depth with the bound variables substituted:
+        per equation (image of v under the letters after x, or None when
+        there are none; sign of x; the letters before x right to left,
+        each a matrix or, for x, a matrix per ball element; word)."""
+        slot = self.order[depth]
+        plan = []
+        for head, sign, tail, prepared in self.tests[depth]:
+            start = None
+            if tail:
+                start = self.vector
+                for letter in reversed(tail):
+                    start = apply(self._matrix(*letter), start)
+            ops = [
+                self.matrices[s] if is_var and payload == slot
+                else self._matrix(is_var, payload, s)
+                for is_var, payload, s in reversed(head)
+            ]
+            plan.append((start, sign, ops, prepared))
+        return plan
+
+    def _matrix(self, is_var: bool, payload: Any, sign: int) -> Any:
+        """A letter's fingerprint matrix, its variable already bound."""
+        return self.matrices[sign][self.indices[payload]] if is_var else payload
+
+    def _next(self, depth: int, start: int, plan: list[Any]) -> int | None:
+        """The first ball index from `start` on that passes every test at
+        this depth, now bound to its variable; None if there is none."""
+        slot = self.order[depth]
+        vector, matrices, images = self.vector, self.matrices, self.images
+        for idx in range(start, len(self.ball)):
+            for begin, sign, ops, _ in plan:
+                x = images[sign][idx] if begin is None else apply(matrices[sign][idx], begin)
+                for op in ops:
+                    x = apply(op[idx] if op.__class__ is list else op, x)
+                if x != vector:
+                    break
+            else:
+                self.indices[slot] = idx
+                self.values[slot] = self.ball[idx]
+                if all(
+                    _evaluate_prepared(prepared, self.values, self.group,
+                                       self._inverse).is_trivial()
+                    for _, _, _, prepared in plan
+                ):
+                    return idx
+        return None
+
+    def _inverse(self, slot: int) -> SolvableElement:
+        idx = self.indices[slot]
+        value = self.inverses[idx]
+        if value is None:
+            value = self.inverses[idx] = self.group.inv(self.ball[idx])
+        return value
 
 
 def _prepare(s: MixedWord, group: Any) -> list[tuple[bool, Any, int]]:
@@ -204,14 +375,17 @@ def _prepare(s: MixedWord, group: Any) -> list[tuple[bool, Any, int]]:
 
 def _evaluate_prepared(
     prepared: list[tuple[bool, Any, int]],
-    assignment: tuple[SolvableElement, ...],
+    assignment: Sequence[Any],
     group: Any,
+    inverse_of: Callable[[int], SolvableElement] | None = None,
 ) -> SolvableElement:
+    """The exact product; `inverse_of(slot)`, when given, supplies the
+    inverse of a variable's value in place of `group.inv`."""
     result = group.identity()
     for is_var, payload, sign in prepared:
         value = assignment[payload] if is_var else payload
         if sign < 0:
-            value = group.inv(value)
+            value = group.inv(value) if inverse_of is None else inverse_of(payload)
         result = group.mul(result, value)
     return result
 

@@ -235,13 +235,12 @@ def laurent_rank(matrix: Sequence[Sequence[LaurentPoly]]) -> int:
     if not rows or not rows[0]:
         return 0
     ncols = len(rows[0])
-    nvars = rows[0][0].nvars
     for row in rows:
         if len(row) != ncols:
             raise ValueError("ragged matrix")
         for entry in row:
             entry._same(rows[0][0])
-    bound = _evaluation_rank(rows, nvars)
+    bound = _evaluation_rank(rows)
     if bound == min(len(rows), ncols):
         return bound
     return laurent_rank_bareiss(rows)
@@ -256,10 +255,16 @@ def _evaluation_point(nvars: int) -> tuple[int, ...]:
     return tuple(rng.randrange(2, PRIME - 1) for _ in range(nvars))
 
 
-def _evaluation_rank(rows: list[list[LaurentPoly]], nvars: int) -> int | None:
+def _evaluation_rank(rows: list[list[LaurentPoly]]) -> int | None:
     """Rank mod PRIME of the matrix evaluated at the fixed point, or None
-    when a coefficient's denominator is 0 mod PRIME."""
-    point = _evaluation_point(nvars)
+    when a coefficient's denominator is 0 mod PRIME.
+
+    The point is drawn only as far as the variables the terms use, at
+    most twice the highest: the draws are a seeded sequence, so any
+    prefix gives the same values, and the cost is bounded by the input
+    whatever `nvars` declares.
+    """
+    point: tuple[int, ...] = ()
     monomials: dict[tuple[int, ...], int] = {}
     values = []
     for row in rows:
@@ -273,8 +278,11 @@ def _evaluation_rank(rows: list[list[LaurentPoly]], nvars: int) -> int | None:
                 mono = monomials.get(exps)
                 if mono is None:
                     mono = 1
-                    for v, e in zip(point, exps):
-                        mono = mono * pow(v, e, PRIME) % PRIME
+                    for i, e in enumerate(exps):
+                        if e:
+                            if i >= len(point):
+                                point = _evaluation_point(2 * i + 2)
+                            mono = mono * pow(point[i], e, PRIME) % PRIME
                     monomials[exps] = mono
                 total += coeff.numerator * pow(den, -1, PRIME) * mono
             out.append(total % PRIME)

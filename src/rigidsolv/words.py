@@ -104,11 +104,10 @@ MAX_NESTING = 100
 MAX_WORD_LENGTH = 1_000_000
 
 
-def _check_length(length: int) -> None:
+def check_length(length: int) -> None:
     if length > MAX_WORD_LENGTH:
         raise CapExceededError(
-            f"word too long: {length} letters after expanding sugar "
-            f"exceeds cap {MAX_WORD_LENGTH}"
+            f"word too long: {length} letters exceeds cap {MAX_WORD_LENGTH}"
         )
 
 
@@ -164,7 +163,7 @@ class _Parser:
             if tok is None or (tok[0] == "punct" and tok[1] in stop):
                 return tuple(items)
             term = self.term()
-            _check_length(len(items) + len(term))
+            check_length(len(items) + len(term))
             items.extend(term)
 
     def term(self) -> tuple[Letter, ...]:
@@ -246,7 +245,7 @@ def _invert_items(items: tuple[Letter, ...]) -> tuple[Letter, ...]:
 
 
 def _power_items(items: tuple[Letter, ...], k: int) -> tuple[Letter, ...]:
-    _check_length(len(items) * abs(k))
+    check_length(len(items) * abs(k))
     if k < 0:
         items = _invert_items(items)
         k = -k
@@ -254,12 +253,12 @@ def _power_items(items: tuple[Letter, ...], k: int) -> tuple[Letter, ...]:
 
 
 def _conjugate_items(u: tuple[Letter, ...], v: tuple[Letter, ...]) -> tuple[Letter, ...]:
-    _check_length(len(u) + 2 * len(v))
+    check_length(len(u) + 2 * len(v))
     return _invert_items(v) + u + v
 
 
 def _commutator_items(u: tuple[Letter, ...], v: tuple[Letter, ...]) -> tuple[Letter, ...]:
-    _check_length(2 * (len(u) + len(v)))
+    check_length(2 * (len(u) + len(v)))
     return _invert_items(u) + _invert_items(v) + u + v
 
 

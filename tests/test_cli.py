@@ -1,12 +1,17 @@
 import contextlib
 import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 import time
 
 import pytest
 
 from rigidsolv.cli import main
 from rigidsolv.free_solvable import MAX_CLASS
+from rigidsolv.verify import MAX_SAMPLES
 from rigidsolv.words import word_to_str
 
 
@@ -276,6 +281,64 @@ def test_verify_rejects_nonpositive_samples(capsys, samples):
     code, out, err = run(capsys, "verify", "--only", "lex_drop", "--samples", samples)
     assert code == 2 and out == ""
     assert err == f"error: samples must be at least 1, got {samples}\n"
+
+
+def test_verify_samples_cap_exit_3(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--only", "product_rule",
+                         "--samples", "100000000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert err == f"error: samples 100000000 exceeds cap {MAX_SAMPLES}\n"
+
+
+def test_verify_samples_at_cap_runs(capsys):
+    code, out, _ = run(capsys, "verify", "--only", "retraction",
+                       "--samples", str(MAX_SAMPLES))
+    assert code == 0
+    assert json.loads(out)["checks"][0]["samples"] == MAX_SAMPLES
+
+
+def test_witness_chain_past_word_cap_exit_3(capsys):
+    # The 11th witness word would have 2,446,676 letters.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "member", "-m", "2", "-n", "11", "-i", "11",
+                         "--criterion", "commutator", "x1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert err.startswith("error: word too long: 2446676 letters")
+    assert err.count("\n") == 1
+
+
+def test_laurent_rank_cost_is_bounded_by_the_input_not_nvars(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"nvars": 100_000_000, "rows": [[[]]]}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "rank", "--kind", "laurent", "--json", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (0, '{"rank": 0}\n', "")
+
+
+SOLVE_OPS = [
+    ["solve", "-m", "2", "-n", "3", "-r", "3", "-e", "[$1,$2]"],
+    ["solve", "-m", "2", "-n", "2", "-r", "2", "-e", "[$1,$2]", "-e", "[$2,$3]"],
+    ["solve", "-m", "2", "-n", "4", "-r", "3", "-e", "[$1,[x1,x2]]"],
+]
+
+
+def test_solve_output_does_not_depend_on_the_hash_seed():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    outputs = {}
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
+        outputs[seed] = [
+            subprocess.run([sys.executable, "-m", "rigidsolv", *argv], env=env,
+                           capture_output=True, text=True, timeout=120,
+                           check=True).stdout
+            for argv in SOLVE_OPS
+        ]
+    assert all(outputs["1"])
+    assert outputs["1"] == outputs["2"]
 
 
 def test_long_word_json_writes_shared_elements_once(tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -5,8 +6,10 @@ import pytest
 
 from rigidsolv.errors import CapExceededError
 from rigidsolv.equations import (
+    FILTER_LEVEL,
     Const,
     MixedWord,
+    SolutionSet,
     Var,
     equivalent_on_ball,
     evaluate,
@@ -149,6 +152,66 @@ def test_solve_search_cap_before_power(equation, radius):
 def test_solve_declared_arity_too_small():
     with pytest.raises(ValueError, match="arity mismatch"):
         solve_ball([MixedWord.parse("$2")], 2, 2, 2, nvars=1)
+
+
+def reference_solve(system, m, n, radius, nvars=None):
+    """The exhaustive loop `solve_ball` ran before the fingerprint
+    filter: every tuple of the ball product, evaluated exactly."""
+    if nvars is None:
+        nvars = system_arity(system)
+    group = free_solvable_group(m, n)
+    solutions = [
+        assignment
+        for assignment in itertools.product(ball_enumerate(m, n, radius), repeat=nvars)
+        if all(evaluate(s, assignment, group).is_trivial() for s in system)
+    ]
+    solutions.sort(key=lambda a: tuple(e.key() for e in a))
+    return SolutionSet(m, n, radius, nvars, tuple(solutions))
+
+
+SWEEP = [
+    # (m, n, radius, equations, nvars)
+    (2, 2, 3, ["[$1, x1 x2]"], None),
+    (2, 3, 3, ["$1 x1 x2 ($1)^-1 X2 X1"], None),
+    (2, 2, 3, ["[$1^2, x1]"], None),
+    (2, 3, 2, ["$1^-1 $2^-1 x1 $1 $2 X1"], None),
+    (2, 2, 2, ["$2 $1 x1 ($1)^-1 $2^-1 X1"], None),
+    (2, 2, 2, ["$2 $1 x1 ($1)^-1 X2"], None),
+    (2, 3, 2, ["$2 x1 $1^-1 x2 $1 X2"], None),
+    (2, 2, 2, ["[$1, x1]"], 2),
+    (2, 2, 1, ["[$2, x2]"], 3),
+    (2, 2, 2, ["[x1, x1]", "[$1, x2]"], None),
+    (2, 2, 2, ["[x1, x2]", "$1"], None),
+    (2, 2, 1, ["x1 X1"], 0),
+    (2, 2, 1, ["x1"], 0),
+    (2, 2, 1, ["x1"], 1),
+    (2, 2, 2, [], 0),
+    (2, 2, 2, [], 1),
+    (2, 2, 1, [], 2),
+    (2, 2, 1, ["[$1,$2]", "[$2,$3]"], None),
+    (2, 2, 2, ["[$1,$2] x1 X1", "$3 $3 $1^-1"], None),
+    (3, 2, 1, ["[$1,$2]"], None),
+    (1, 3, 3, ["$1 $1 X1 X1"], None),
+    (2, 0, 2, ["[$1,$2]"], None),
+    (2, 0, 1, ["$1 x1"], None),
+    (2, 1, 2, ["[$1,$2]"], None),
+    (2, 1, 2, ["$1 $2 X1"], None),
+    # The level-3 fingerprint misses most of the third derived subgroup,
+    # so here the exact check rejects tuples the filter let through.
+    (2, 3, 2, ["[[$1,x1],[$2,x2]]"], None),
+    (2, 3, 4, ["[$1,[x1,x2]]"], None),
+    (2, FILTER_LEVEL, 2, ["[[$1,$2],[x1,x2]]"], None),
+    (2, FILTER_LEVEL + 1, 2, ["[$1,$2]"], None),
+    (2, FILTER_LEVEL + 1, 3, ["[$1, [x1,x2]]"], None),
+    (2, FILTER_LEVEL + 1, 2, ["[[$1,x1],[x2,x1]]"], None),
+]
+
+
+@pytest.mark.parametrize("m,n,radius,equations,nvars", SWEEP)
+def test_solve_matches_exhaustive_reference(m, n, radius, equations, nvars):
+    system = [MixedWord.parse(e, ngens=m) for e in equations]
+    got = solve_ball(system, m, n, radius, nvars=nvars)
+    assert got.json_text() == reference_solve(system, m, n, radius, nvars).json_text()
 
 
 # -- vanishes_on ------------------------------------------------------------------------
