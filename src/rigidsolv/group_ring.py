@@ -133,7 +133,7 @@ class RingElement:
     def translate(self, g: Any) -> "RingElement":
         """Right translation: every support element is multiplied by g."""
         group = self.group
-        if group.is_identity(g):
+        if not self.support or group.is_identity(g):
             return self
         support: dict[str, tuple[Any, int]] = {}
         for element, coeff in self.support.values():

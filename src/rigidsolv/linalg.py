@@ -16,8 +16,16 @@ division in the elimination is an exact polynomial division.
 `smith_rank` takes the rank r and a nonzero r x r minor D from Bareiss
 elimination over Z; every invariant factor divides D, so they are read
 off a diagonalization of the matrix mod D (Domich-Kannan-Trotter), with
-entries bounded by D throughout.  `smith_form` keeps its unimodular
-transforms for the lattice code (`row_lattice_basis`, `LatticeSolver`).
+entries bounded by D throughout.
+
+`hermite_basis` is the one lattice routine: the row Hermite normal form,
+re-reduced after every inserted row, gives the rank of a sublattice of
+Z^m, a basis of it, and by one reduction pass a canonical coset
+representative and lattice coordinates of any vector (`coset_rank`).
+
+`smith_form` carries unimodular transforms whose entries grow without
+bound; no routine here calls it.  It is kept because the benchmark's
+per-layer tracer wraps it by name.
 
 Rank over noncommutative group rings (class >= 3 quotients) is out of
 reach of this route and is not implemented.
@@ -585,7 +593,7 @@ def _diagonal_mod(matrix: Sequence[Sequence[int]], modulus: int) -> list[int]:
 
 
 def _bezout(a: int, b: int) -> tuple[int, int, int, int]:
-    """(s, u, a/g, b/g) with s*a + u*b = g = gcd(a, b) > 0, for a > 0.
+    """(s, u, a/g, b/g) with s*a + u*b = g = gcd(a, b) > 0, for a, b > 0.
 
     The matrix [[s, u], [-b/g, a/g]] has determinant 1 and sends (a, b) to
     (g, 0).  When a divides b it is s = 1, u = 0, which leaves the pivot
@@ -602,65 +610,43 @@ def _bezout(a: int, b: int) -> tuple[int, int, int, int]:
     return s0, u, a // r0, b // r0
 
 
-def matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
-    return [
-        [sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a
-    ]
+def hermite_basis(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Row Hermite normal form of the lattice the rows span: one basis row
+    per pivot column, in column order, each pivot positive and every
+    entry above a pivot reduced into [0, pivot).
 
-
-def row_lattice_basis(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
-    """An independent basis of the lattice spanned by the rows."""
-    if not matrix or not matrix[0]:
-        return []
-    form = smith_form(matrix)
-    reduced = matmul(form.left, matrix)
-    return [reduced[i] for i in range(form.rank)]
-
-
-class LatticeSolver:
-    """Membership and coordinates for the row lattice of an independent basis."""
-
-    def __init__(self, basis: Sequence[Sequence[int]], dim: int):
-        self.basis = [list(row) for row in basis]
-        self.dim = dim
-        self.size = len(self.basis)
-        if self.size:
-            if any(len(row) != dim for row in self.basis):
-                raise ValueError("basis rows have wrong length")
-            form = smith_form(self.basis)
-            if form.rank < self.size:
-                raise ValueError("dependent sub-basis")
-            self.form = form
-
-    def fingerprint(self, vector: Sequence[int]) -> tuple[int, ...]:
-        """Coset invariant: equal fingerprints iff vectors differ by a
-        lattice element."""
-        if not self.size:
-            return tuple(vector)
-        moved = matmul([list(vector)], self.form.right)[0]
-        out = []
-        for j in range(self.dim):
-            if j < self.size:
-                out.append(moved[j] % self.form.diagonal[j])
-            else:
-                out.append(moved[j])
-        return tuple(out)
-
-    def coordinates(self, vector: Sequence[int]) -> list[int] | None:
-        """c with c * basis = vector, or None if not in the lattice."""
-        if not self.size:
-            return [] if not any(vector) else None
-        moved = matmul([list(vector)], self.form.right)[0]
-        y = []
-        for j in range(self.dim):
-            if j < self.size:
-                d = self.form.diagonal[j]
-                if moved[j] % d:
-                    return None
-                y.append(moved[j] // d)
-            elif moved[j]:
-                return None
-        return matmul([y], self.form.left)[0]
+    Rows are inserted one at a time (Kannan-Bachem).  A row meeting an
+    occupied pivot column is merged into that pivot by the unimodular
+    `_bezout` step and goes on with what is left; a row reaching a free
+    column takes it.  After every insertion the basis is reduced again,
+    so between insertions it is the Hermite form of the rows so far, a
+    function of their lattice alone, and no transform is carried that
+    could grow.  Its length is the rank over Q.
+    """
+    pivots: dict[int, list[int]] = {}
+    for row in rows:
+        vector = [int(x) for x in row]
+        for col in range(len(vector)):
+            if not vector[col]:
+                continue
+            if vector[col] < 0:
+                vector = [-x for x in vector]
+            top = pivots.get(col)
+            if top is None:
+                pivots[col] = vector
+                break
+            s, u, p, q = _bezout(top[col], vector[col])
+            pivots[col] = [s * a + u * b for a, b in zip(top, vector)]
+            vector = [p * b - q * a for a, b in zip(top, vector)]
+        order = sorted(pivots)
+        for i, col in enumerate(order):
+            pivot_row = pivots[col]
+            for above in order[:i]:
+                row_above = pivots[above]
+                q = row_above[col] // pivot_row[col]
+                if q:
+                    pivots[above] = [a - q * b for a, b in zip(row_above, pivot_row)]
+    return [pivots[col] for col in sorted(pivots)]
 
 
 # ---------------------------------------------------------------------------
@@ -674,9 +660,11 @@ def coset_rank(
 
     B must be free abelian, B = Z^m = S(m, 1), and A-bar is given by an
     independent set of exponent vectors in Z^m (checked; raises on a
-    dependent sub-basis).  Support keys are decomposed along the finitely
-    many A-bar-cosets they occupy, producing a block matrix over the
-    Laurent ring in the A-bar variables whose rank is the answer.
+    dependent sub-basis).  One pass over the Hermite basis of A-bar
+    reduces a support vector v to v = rep + sum_i q_i h_i with each
+    pivot entry of rep in [0, pivot): rep names the A-bar-coset of v and
+    q its Laurent exponents in the variables h_i.  The block matrix over
+    the Laurent ring, one column per (slot, rep), has the answer as rank.
     """
     if not rows:
         return 0
@@ -691,40 +679,30 @@ def coset_rank(
     dim = group.ngens
     if group != free_solvable_group(dim, 1):
         raise ValueError(f"{group.label} is not a free abelian base group")
-    solver = LatticeSolver(sub_basis, dim)
-    nvars = len(sub_basis)
+    if any(len(row) != dim for row in sub_basis):
+        raise ValueError("basis rows have wrong length")
+    basis = hermite_basis(sub_basis)
+    if len(basis) < len(sub_basis):
+        raise ValueError("dependent sub-basis")
+    pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
 
-    # Group every support key by its coset fingerprint; the coset
-    # representative is the appearing key with minimal canonical key.
-    cosets: dict[tuple[int, ...], list[tuple[str, tuple[int, ...]]]] = {}
+    nvars = len(basis)
+    zero = LaurentPoly.zero(nvars)
+    columns: dict[tuple[int, tuple[int, ...]], int] = {}
+    sparse_rows: list[dict[int, LaurentPoly]] = []
     for row in rows:
-        for entry in row:
-            for key, (element, _) in entry.support.items():
-                vec = element.body
-                cosets.setdefault(solver.fingerprint(vec), []).append((key, vec))
-    reps: dict[tuple[int, ...], tuple[str, tuple[int, ...]]] = {
-        fp: min(members) for fp, members in cosets.items()
-    }
-
-    columns = sorted(
-        (slot, fp) for slot in range(width) for fp in reps
-    )
-    column_index = {col: i for i, col in enumerate(columns)}
-    matrix: list[list[LaurentPoly]] = []
-    for row in rows:
-        out = [LaurentPoly.zero(nvars) for _ in columns]
+        out: dict[int, LaurentPoly] = {}
         for slot, entry in enumerate(row):
             for element, coeff in entry.support.values():
-                vec = element.body
-                fp = solver.fingerprint(vec)
-                rep_vec = reps[fp][1]
-                offset = solver.coordinates(
-                    [a - b for a, b in zip(vec, rep_vec)]
-                )
-                assert offset is not None
-                col = column_index[(slot, fp)]
-                out[col] = out[col] + LaurentPoly.monomial(nvars, offset, coeff)
-        matrix.append(out)
+                rep, exps = list(element.body), []
+                for col, h in zip(pivots, basis):
+                    q = rep[col] // h[col]
+                    rep = [a - q * b for a, b in zip(rep, h)]
+                    exps.append(q)
+                index = columns.setdefault((slot, tuple(rep)), len(columns))
+                out[index] = out.get(index, zero) + LaurentPoly.monomial(nvars, exps, coeff)
+        sparse_rows.append(out)
+    matrix = [[out.get(i, zero) for i in range(len(columns))] for out in sparse_rows]
     return laurent_rank(matrix)
 
 
@@ -778,8 +756,8 @@ def principal_dimension_metabelian(
     elements = [normalize(m, 2, w) for w in generators]
     base = free_solvable_group(m, 1)
     pairs = restricted_module_generators(list(generators), base)
-    exponent_matrix = [list(top.body) for _, top in pairs]
-    r1, _ = smith_rank(exponent_matrix)
+    lattice = hermite_basis([top.body for _, top in pairs])
+    r1 = len(lattice)
     if r1 == 0:
         raise ValueError("trivial image: generators die in the abelianization")
     abelian = all(
@@ -790,7 +768,7 @@ def principal_dimension_metabelian(
     if abelian:
         return PrincipalDimension((r1,))
     rows = [coords for coords, _ in pairs]
-    module_rank = coset_rank(rows, row_lattice_basis(exponent_matrix))
+    module_rank = coset_rank(rows, lattice)
     return PrincipalDimension((r1, module_rank - 1))
 
 

@@ -100,6 +100,27 @@ def test_pdim_subgroup_and_family(capsys):
     assert json.loads(out) == {"dimension": [2, 1, 1]}
 
 
+def test_pdim_full_rank_m6_finishes():
+    # Generator i is row i of random.Random(0)'s 6x6 matrix with entries in
+    # [-9, 9], followed by [x1,x2].  Smith transforms of this exponent
+    # lattice grew to 130-digit entries and ran past 15 s.
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    code = "import sys; from rigidsolv.cli import main; sys.exit(main(sys.argv[1:]))"
+    argv = [
+        "pdim", "-m", "6",
+        "x1^3 x2^4 x3^-8 x4^-1 x5^7 x6^6 [x1,x2]",
+        "x1^3 x3^6 x4^2 x5^9 x6^-3 [x1,x2]",
+        "x1^7 x2^-5 x4^-5 x5^-6 x6^-1 [x1,x2]",
+        "x1^8 x2^-5 x4^-6 x5^-7 x6^1 [x1,x2]",
+        "x1^6 x2^8 x3^-6 x4^2 x5^4 x6^1 [x1,x2]",
+        "x1^-3 x2^8 x3^6 x4^5 x5^7 x6^-1 [x1,x2]",
+    ]
+    result = subprocess.run([sys.executable, "-c", code, *argv],
+                            env=dict(os.environ, PYTHONPATH=str(src)),
+                            capture_output=True, text=True, timeout=10)
+    assert (result.returncode, result.stdout) == (0, "(6, 5)\n")
+
+
 def test_rank_smith_and_laurent(tmp_path, capsys):
     matrix = tmp_path / "m.json"
     matrix.write_text("[[2,0],[0,3]]")

@@ -9,7 +9,7 @@ from conftest import zvec
 
 from rigidsolv.errors import AmbientMismatchError
 from rigidsolv.group_ring import RingElement
-from rigidsolv.free_solvable import free_solvable_group, normalize
+from rigidsolv.free_solvable import FreeSolvableGroup, free_solvable_group, normalize
 
 Z2 = free_solvable_group(2, 1)
 ONE = RingElement.one(Z2)
@@ -99,6 +99,21 @@ def test_translate_roundtrip():
         u = rand_element(rng)
         g = zvec(*(rng.randint(-2, 2) for _ in range(2)))
         assert u.translate(g).translate(Z2.inv(g)) == u
+
+
+@pytest.mark.parametrize("m", [100, 200, 400])
+def test_translate_of_zero_skips_identity_check(m, monkeypatch):
+    # A letter's image in S(m, 3) has m - 1 zero coordinates; translating
+    # them must not pay the O(m) identity test each, or products cost m^2.
+    calls = []
+    is_identity = FreeSolvableGroup.is_identity
+    monkeypatch.setattr(
+        FreeSolvableGroup,
+        "is_identity",
+        lambda group, a: calls.append(a) or is_identity(group, a),
+    )
+    normalize(m, 3, (1,))
+    assert len(calls) == 1
 
 
 # -- augmentation --------------------------------------------------------------

@@ -157,7 +157,10 @@ def test_canonical_json_corpus():
     # byte.  The later entries (`mul`, `comm`, `project`, `sigma`,
     # `solve`, and text-mode `normalize` and `fox`, over m = 1..3 and
     # n = 0..4) were made by the dict-tree serializer that `json.dumps`
-    # walked; the cached element texts must reproduce them too.
+    # walked; the cached element texts must reproduce them too.  The
+    # `pdim` entries (seeded subgroups of S(m,2), m = 1..5, and both
+    # families) were made by the Smith-transform lattice route; the
+    # Hermite basis must reproduce them.
     for entry in json.loads(CORPUS.read_text()):
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
