@@ -5,8 +5,9 @@ Subcommands cover canonical forms (`normalize`, `mul`, `comm`,
 (`fox`, `sigma`), the wreath embedding (`wreath-embed`), principal
 dimensions (`pdim`), exact matrix rank (`rank`), the ball equation
 solver (`solve`), and the statement harness (`verify`).  `--json`
-switches any subcommand to its documented JSON schema.  Exit codes:
-0 success, 1 failed checks, 2 usage/parse errors, 3 resource caps.
+switches every other subcommand to its documented JSON schema; `solve`
+and `verify` always print JSON and take no `--json`.  Exit codes: 0
+success, 1 failed checks, 2 usage/parse errors, 3 resource caps.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import json
 import sys
 from typing import Any, Sequence
 
-from .equations import MixedWord, solve_ball
+from .equations import DEFAULT_ASSIGNMENT_CAP, MixedWord, solve_ball
 from .errors import CapExceededError, WordSyntaxError
 from .free_solvable import (
     DEFAULT_BALL_CAP,
@@ -341,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="inline mixed word (repeatable); variables are $1..$v",
     )
     p.add_argument("file", nargs="?", help="system file, one mixed word per line")
-    p.add_argument("--assignment-cap", type=int, default=10_000_000)
+    p.add_argument("--assignment-cap", type=int, default=DEFAULT_ASSIGNMENT_CAP)
     p.add_argument("--ball-cap", type=int, default=DEFAULT_BALL_CAP)
     p.set_defaults(func=_cmd_solve)
 

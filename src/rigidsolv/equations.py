@@ -1,8 +1,10 @@
 """Desk-scale equations over S(m, n): evaluation, ball solutions,
 vanishing tests.
 
-A mixed word is a sequence of variable occurrences and constant words;
-evaluating it at a tuple of group elements substitutes each variable.
+A mixed word is the parser's letter tuple: generator letters (ints) and
+variable occurrences (`words.VarLetter`).  Evaluating it at a tuple of
+group elements substitutes each variable and takes each run of generator
+letters as one normalized constant.
 `solve_ball` decides every assignment over a ball, so the returned set
 is the honest solution set restricted to the ball - an empty result
 never claims the equation has no solutions in the whole group.  For the
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Sequence, Union
+from typing import Any, Callable, Iterator, Sequence
 
 from .errors import CapExceededError
 from .fingerprint import Fingerprint, apply, inverse
@@ -35,57 +37,31 @@ from .free_solvable import (
     free_solvable_group,
     normalize,
 )
-from .words import Letter, VarLetter, Word, parse_letters
+from .words import Letter, VarLetter, parse_letters
 
 DEFAULT_ASSIGNMENT_CAP = 10_000_000
 
 
 @dataclass(frozen=True)
-class Var:
-    """A variable occurrence x_index^sign."""
-
-    index: int
-    sign: int
-
-
-@dataclass(frozen=True)
-class Const:
-    """A run of constant letters."""
-
-    word: Word
-
-
-MixedLetter = Union[Var, Const]
-
-
-@dataclass(frozen=True)
 class MixedWord:
-    """Word with variables $1..$nvars and constants from the group."""
+    """Word with variables $1..$nvars: the parsed letters, generator ints
+    and `VarLetter`s."""
 
-    letters: tuple[MixedLetter, ...]
+    letters: tuple[Letter, ...]
     nvars: int
 
     @staticmethod
     def from_letters(letters: Sequence[Letter], nvars: int | None = None) -> "MixedWord":
-        out: list[MixedLetter] = []
-        run: list[int] = []
-        seen = 0
-        for letter in letters:
-            if isinstance(letter, VarLetter):
-                if run:
-                    out.append(Const(tuple(run)))
-                    run = []
-                out.append(Var(letter.index, letter.sign))
-                seen = max(seen, letter.index)
-            else:
-                run.append(letter)
-        if run:
-            out.append(Const(tuple(run)))
+        letters = tuple(letters)
+        seen = max(
+            (letter.index for letter in letters if isinstance(letter, VarLetter)),
+            default=0,
+        )
         if nvars is None:
             nvars = seen
         elif seen > nvars:
             raise ValueError(f"arity mismatch: variable ${seen} exceeds arity {nvars}")
-        return MixedWord(tuple(out), nvars)
+        return MixedWord(letters, nvars)
 
     @staticmethod
     def parse(text: str, ngens: int | None = None, nvars: int | None = None,
@@ -93,18 +69,6 @@ class MixedWord:
         return MixedWord.from_letters(
             parse_letters(text, ngens=ngens, line=line), nvars=nvars
         )
-
-    def __str__(self) -> str:
-        from .words import word_to_str
-
-        parts = []
-        for letter in self.letters:
-            if isinstance(letter, Var):
-                parts.append(f"${letter.index}" if letter.sign > 0
-                             else f"(${letter.index})^-1")
-            else:
-                parts.append(word_to_str(letter.word))
-        return " ".join(parts)
 
 
 def evaluate(
@@ -139,9 +103,6 @@ class SolutionSet:
 
     def __len__(self) -> int:
         return len(self.assignments)
-
-    def __contains__(self, assignment: tuple[SolvableElement, ...]) -> bool:
-        return assignment in self.assignments
 
     def keys(self) -> list[tuple[str, ...]]:
         return [tuple(e.key() for e in a) for a in self.assignments]
@@ -285,26 +246,20 @@ class _BallSearch:
 
     def run(self) -> Iterator[tuple[SolvableElement | None, ...]]:
         """Every assignment of the occurring variables that solves the
-        system, over all variables with None at the others."""
-        depths = len(self.order)
-        if not depths:
+        system, over all variables with None at the others.  The search
+        keeps one `_passing` generator per bound variable on a stack, not
+        on the Python call stack, so any number of variables can occur."""
+        if not self.order:
             yield tuple(self.values)
             return
-        starts = [0] * depths
-        plans: list[Any] = [self._plan(0)] + [None] * (depths - 1)
-        depth = 0
-        while depth >= 0:
-            idx = self._next(depth, starts[depth], plans[depth])
-            if idx is None:
-                depth -= 1
-                continue
-            starts[depth] = idx + 1
-            if depth + 1 == depths:
-                yield tuple(self.values)
+        stack = [self._passing(0)]
+        while stack:
+            if next(stack[-1], None) is None:
+                stack.pop()
+            elif len(stack) < len(self.order):
+                stack.append(self._passing(len(stack)))
             else:
-                depth += 1
-                starts[depth] = 0
-                plans[depth] = self._plan(depth)
+                yield tuple(self.values)
 
     def _plan(self, depth: int) -> list[Any]:
         """The tests at this depth with the bound variables substituted:
@@ -331,12 +286,15 @@ class _BallSearch:
         """A letter's fingerprint matrix, its variable already bound."""
         return self.matrices[sign][self.indices[payload]] if is_var else payload
 
-    def _next(self, depth: int, start: int, plan: list[Any]) -> int | None:
-        """The first ball index from `start` on that passes every test at
-        this depth, now bound to its variable; None if there is none."""
+    def _passing(self, depth: int) -> Iterator[int]:
+        """Each ball index that passes every test at this depth, in order;
+        it is bound to its variable while it is yielded.  The tests are
+        planned on the first `next`, once the shallower variables are
+        bound."""
+        plan = self._plan(depth)
         slot = self.order[depth]
         vector, matrices, images = self.vector, self.matrices, self.images
-        for idx in range(start, len(self.ball)):
+        for idx in range(len(self.ball)):
             for begin, sign, ops, _ in plan:
                 x = images[sign][idx] if begin is None else apply(matrices[sign][idx], begin)
                 for op in ops:
@@ -351,8 +309,7 @@ class _BallSearch:
                                        self._inverse).is_trivial()
                     for _, _, _, prepared in plan
                 ):
-                    return idx
-        return None
+                    yield idx
 
     def _inverse(self, slot: int) -> SolvableElement:
         idx = self.indices[slot]
@@ -363,13 +320,16 @@ class _BallSearch:
 
 
 def _prepare(s: MixedWord, group: Any) -> list[tuple[bool, Any, int]]:
-    """Letters as (is_var, variable slot or normalized constant, sign)."""
+    """Letters as (is_var, variable slot or normalized constant, sign),
+    each run of generator letters one constant."""
     out: list[tuple[bool, Any, int]] = []
-    for letter in s.letters:
-        if isinstance(letter, Var):
-            out.append((True, letter.index - 1, letter.sign))
+    for is_var, run in itertools.groupby(
+        s.letters, key=lambda letter: isinstance(letter, VarLetter)
+    ):
+        if is_var:
+            out.extend((True, letter.index - 1, letter.sign) for letter in run)
         else:
-            out.append((False, normalize(group.m, group.n, letter.word), 1))
+            out.append((False, normalize(group.m, group.n, tuple(run)), 1))
     return out
 
 

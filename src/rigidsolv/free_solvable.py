@@ -19,7 +19,7 @@ from typing import Any
 from .errors import CapExceededError
 from .groups import Group, int_list_text
 from .magnus import SplitMatrix, eval_word
-from .words import Word, check_length, commutator, conjugate
+from .words import Word, commutator, conjugate
 
 DEFAULT_BALL_CAP = 1_000_000
 
@@ -264,14 +264,14 @@ def series_member_commutator(
 def witness_words(n: int) -> list[Word]:
     """Words for the standard witness chain: w_1 = x1, w_{j+1} = [w_j, w_j^x2].
 
-    w_{j+1} has 4 |w_j| + 4 letters (1, 8, 36, ..., 611,668 at j = 10),
-    checked against `words.MAX_WORD_LENGTH` before it is built, so a
-    chain past the cap (n >= 11) raises CapExceededError at once.
+    w_{j+1} has 4 |w_j| + 4 letters (1, 8, 36, ..., 611,668 at j = 10);
+    `words.commutator` checks that against `words.MAX_WORD_LENGTH` before
+    it builds the word, so a chain past the cap (n >= 11) raises
+    CapExceededError at once.
     """
     out: list[Word] = [(1,)]
     for _ in range(1, n):
         w = out[-1]
-        check_length(4 * len(w) + 4)
         out.append(commutator(w, conjugate(w, (2,))))
     return out
 

@@ -9,7 +9,7 @@ immutable and safe to share between threads.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable
 
 from .groups import Group, require_same_group
 
@@ -178,7 +178,4 @@ class RingElement:
             f'{{"coeff": {coeff}, "element": {text(element)}}}'
             for element, coeff in self.terms()
         ) + "]"
-
-    def __iter__(self) -> Iterator[tuple[Any, int]]:
-        return iter(self.terms())
 

@@ -23,8 +23,8 @@ class Group:
 
     Subclasses must set ``label`` (a string identifying the ambient group;
     two group objects are interchangeable iff labels match) and ``ngens``,
-    and implement ``identity``, ``mul``, ``inv``, ``key``, ``generator``,
-    and ``element_text``.
+    and implement ``identity``, ``mul``, ``inv``, ``key``, ``is_identity``,
+    ``generator``, and ``element_text``.
     """
 
     label: str
@@ -50,11 +50,8 @@ class Group:
         """Canonical JSON text of an element, as `json.dumps` would write it."""
         raise NotImplementedError
 
-    def equal(self, a: Any, b: Any) -> bool:
-        return self.key(a) == self.key(b)
-
     def is_identity(self, a: Any) -> bool:
-        return self.equal(a, self.identity())
+        raise NotImplementedError
 
     def pow(self, a: Any, k: int) -> Any:
         if k < 0:

@@ -157,16 +157,6 @@ class LaurentPoly:
 
     __repr__ = __str__
 
-    def to_json(self) -> list[dict[str, Any]]:
-        return [
-            {
-                "exps": list(exps),
-                "num": self.terms[exps].numerator,
-                "den": self.terms[exps].denominator,
-            }
-            for exps in sorted(self.terms, key=lambda e: (sum(e), e))
-        ]
-
     @staticmethod
     def from_json(nvars: int, data: Any) -> "LaurentPoly":
         """Parse a list of {"exps", "num", "den"} terms, checking its shape."""

@@ -1,19 +1,23 @@
-"""Free-group words and the shared input grammar.
+"""Free-group words, mixed words and the shared input grammar.
 
 A word over m generators is a tuple of nonzero ints: +i stands for the
-generator x_i, -i for its inverse (1-based indices).  The text grammar
-accepts `x3` / `X3` for a generator and its inverse, `$3` for a variable
-(mixed words only), juxtaposition for products, and the sugar
+generator x_i, -i for its inverse (1-based indices).  A mixed word may
+also hold variable letters (`VarLetter`); `-letter` inverts either kind,
+so `invert`, `power`, `conjugate`, `commutator` and `free_reduce` work on
+both.  The text grammar accepts `x3` / `X3` for a generator and its
+inverse, `$3` for a variable (mixed words only), juxtaposition for
+products, and the sugar
 
     [u,v]   ->  u^-1 v^-1 u v          (commutator)
     u^v     ->  v^-1 u v               (conjugation)
     u^k     ->  k-fold power, k an integer (possibly negative)
     ( ... ) and { ... }                (grouping)
 
-Sugar is expanded during parsing, so every parse yields a flat letter
-sequence.  Nested sugar grows the expansion exponentially in the nesting
-depth, so each expansion is checked against `MAX_WORD_LENGTH` before it
-is built.
+The parser expands sugar with those same functions, so every parse
+yields a flat letter sequence.  Nested sugar grows the expansion
+exponentially in the nesting depth, so `power`, `conjugate` and
+`commutator` check their result's length against `MAX_WORD_LENGTH`
+before they build it.
 """
 
 from __future__ import annotations
@@ -34,13 +38,16 @@ class VarLetter:
     index: int
     sign: int
 
+    def __neg__(self) -> "VarLetter":
+        return VarLetter(self.index, -self.sign)
+
 
 Letter = Union[int, VarLetter]
 
 
-def free_reduce(word: Iterable[int]) -> Word:
+def free_reduce(word: Iterable[Letter]) -> tuple[Letter, ...]:
     """Cancel adjacent inverse pairs until the word is reduced."""
-    out: list[int] = []
+    out: list[Letter] = []
     for letter in word:
         if out and out[-1] == -letter:
             out.pop()
@@ -49,31 +56,29 @@ def free_reduce(word: Iterable[int]) -> Word:
     return tuple(out)
 
 
-def invert(word: Iterable[int]) -> Word:
+def invert(word: Iterable[Letter]) -> tuple[Letter, ...]:
     return tuple(-letter for letter in reversed(tuple(word)))
 
 
-def concat(*words: Iterable[int]) -> Word:
-    out: list[int] = []
-    for w in words:
-        out.extend(w)
-    return tuple(out)
-
-
-def conjugate(u: Iterable[int], v: Iterable[int]) -> Word:
+def conjugate(u: Iterable[Letter], v: Iterable[Letter]) -> tuple[Letter, ...]:
     """v^-1 u v."""
-    v = tuple(v)
-    return concat(invert(v), u, v)
+    u, v = tuple(u), tuple(v)
+    check_length(len(u) + 2 * len(v))
+    return invert(v) + u + v
 
 
-def commutator(u: Iterable[int], v: Iterable[int]) -> Word:
+def commutator(u: Iterable[Letter], v: Iterable[Letter]) -> tuple[Letter, ...]:
     """u^-1 v^-1 u v."""
     u, v = tuple(u), tuple(v)
-    return concat(invert(u), invert(v), u, v)
+    check_length(2 * (len(u) + len(v)))
+    return invert(u) + invert(v) + u + v
 
 
-def power(word: Iterable[int], k: int) -> Word:
+def power(word: Iterable[Letter], k: int) -> tuple[Letter, ...]:
     word = tuple(word)
+    check_length(len(word) * abs(k))
+    if not word:
+        return ()
     if k < 0:
         word = invert(word)
         k = -k
@@ -99,8 +104,9 @@ _CLOSER = {"(": ")", "{": "}"}
 #: recursion limit; deeper input is a syntax error, not a crash.
 MAX_NESTING = 100
 
-#: Most letters a parsed word may have once its sugar is expanded;
-#: longer words raise CapExceededError before they are built.
+#: Most letters a parsed word, or a word built by `power`, `conjugate` or
+#: `commutator`, may have; longer words raise CapExceededError before
+#: they are built.
 MAX_WORD_LENGTH = 1_000_000
 
 
@@ -178,9 +184,9 @@ class _Parser:
                 raise WordSyntaxError("dangling '^'", self.line, self.end_col())
             if nxt[0] == "int":
                 self.next()
-                base = _power_items(base, int(nxt[1]))
+                base = power(base, int(nxt[1]))
             else:
-                base = _conjugate_items(base, self.atom())
+                base = conjugate(base, self.atom())
 
     def atom(self) -> tuple[Letter, ...]:
         kind, text, col = self.next()
@@ -230,36 +236,8 @@ class _Parser:
                 raise WordSyntaxError("missing ']'", self.line, self.end_col())
             self.next()
             self.depth -= 1
-            return _commutator_items(u, v)
+            return commutator(u, v)
         raise WordSyntaxError(f"unexpected {text!r}", self.line, col)
-
-
-def _invert_items(items: tuple[Letter, ...]) -> tuple[Letter, ...]:
-    out: list[Letter] = []
-    for item in reversed(items):
-        if isinstance(item, VarLetter):
-            out.append(VarLetter(item.index, -item.sign))
-        else:
-            out.append(-item)
-    return tuple(out)
-
-
-def _power_items(items: tuple[Letter, ...], k: int) -> tuple[Letter, ...]:
-    check_length(len(items) * abs(k))
-    if k < 0:
-        items = _invert_items(items)
-        k = -k
-    return items * k
-
-
-def _conjugate_items(u: tuple[Letter, ...], v: tuple[Letter, ...]) -> tuple[Letter, ...]:
-    check_length(len(u) + 2 * len(v))
-    return _invert_items(v) + u + v
-
-
-def _commutator_items(u: tuple[Letter, ...], v: tuple[Letter, ...]) -> tuple[Letter, ...]:
-    check_length(2 * (len(u) + len(v)))
-    return _invert_items(u) + _invert_items(v) + u + v
 
 
 def parse_word(text: str, ngens: int | None = None, line: int = 1) -> Word:

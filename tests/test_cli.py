@@ -35,6 +35,20 @@ def test_normalize_empty_word_is_identity(capsys):
     assert "trivial: true" in out
 
 
+@pytest.mark.parametrize(
+    "word", ["()^99999999999999999999", "x1^0^99999999999999999999"]
+)
+def test_huge_power_of_the_empty_word_is_identity(capsys, word):
+    code, out, err = run(capsys, "normalize", "-m", "2", "-n", "2", word)
+    assert (code, err) == (0, "")
+    assert "trivial: true" in out
+    code, out, _ = run(capsys, "solve", "-m", "2", "-n", "2", "-r", "1",
+                       "-e", word + " [$1,x1]")
+    assert code == 0
+    _, plain, _ = run(capsys, "solve", "-m", "2", "-n", "2", "-r", "1", "-e", "[$1,x1]")
+    assert out == plain
+
+
 def test_normalize_json_roundtrip(capsys):
     code, out, _ = run(capsys, "normalize", "--json", "-m", "2", "-n", "2", "x1")
     data = json.loads(out)

@@ -7,10 +7,8 @@ import pytest
 from rigidsolv.errors import CapExceededError
 from rigidsolv.equations import (
     FILTER_LEVEL,
-    Const,
     MixedWord,
     SolutionSet,
-    Var,
     equivalent_on_ball,
     evaluate,
     solve_ball,
@@ -24,6 +22,7 @@ from rigidsolv.free_solvable import (
     project,
 )
 from rigidsolv.verify import random_word
+from rigidsolv.words import VarLetter
 
 G22 = free_solvable_group(2, 2)
 CENTRALIZER_EQ = MixedWord.parse("[$1, [x1,x2]]")
@@ -34,7 +33,7 @@ CENTRALIZER_EQ = MixedWord.parse("[$1, [x1,x2]]")
 
 def test_mixed_word_structure():
     s = MixedWord.parse("$1 x1 x2 ($2)^-1")
-    assert s.letters == (Var(1, 1), Const((1, 2)), Var(2, -1))
+    assert s.letters == (VarLetter(1, 1), 1, 2, VarLetter(2, -1))
     assert s.nvars == 2
 
 
@@ -47,7 +46,7 @@ def test_mixed_word_arity_override():
 
 def test_commutator_sugar_with_variables():
     s = MixedWord.parse("[$1, x1]")
-    assert s.letters[0] == Var(1, -1)
+    assert s.letters[0] == VarLetter(1, -1)
 
 
 # -- evaluate ----------------------------------------------------------------------
@@ -272,3 +271,12 @@ def test_solution_set_json_schema():
 def test_system_arity():
     assert system_arity([]) == 0
     assert system_arity([MixedWord.parse("$3 x1")]) == 3
+
+
+def test_search_depth_is_not_bounded_by_the_call_stack():
+    # Radius 0 keeps the search space at one assignment however many
+    # variables occur, so only the search's own bookkeeping can fail.
+    word = MixedWord.parse(" ".join(f"${i}" for i in range(1, 1501)))
+    sol = solve_ball([word], 2, 2, 0)
+    assert len(sol) == 1 and sol.nvars == 1500
+    assert all(e.is_trivial() for e in sol.assignments[0])

@@ -13,9 +13,6 @@ from rigidsolv.words import (
     parse_word,
     power,
     word_to_str,
-    _commutator_items,
-    _conjugate_items,
-    _power_items,
 )
 
 
@@ -113,9 +110,10 @@ def test_word_length_cap():
     # Each sugar refuses its own expansion, before building it.
     u = (1,) * (MAX_WORD_LENGTH // 2)
     for expand in (
-        lambda: _power_items(u, 3),
-        lambda: _conjugate_items((2,), u),
-        lambda: _commutator_items(u, (2,)),
+        lambda: power(u, 3),
+        lambda: power(u, -3),
+        lambda: conjugate((2,), u),
+        lambda: commutator(u, (2,)),
     ):
         with pytest.raises(CapExceededError):
             expand()
@@ -138,6 +136,27 @@ def test_invert_power_roundtrip():
     assert free_reduce(w + invert(w)) == ()
     assert power(w, 0) == ()
     assert power(w, -1) == invert(w)
+
+
+def test_empty_word_to_a_huge_power():
+    # Past sys.maxsize, `() * k` itself would raise OverflowError.
+    huge = 10**20
+    assert power((), huge) == power((), -huge) == ()
+
+
+def test_algebra_on_variable_letters_matches_the_parser():
+    u = parse_letters("$1 x2 ($2)^-1")
+    v = parse_letters("X1 $3")
+    assert invert(u) == parse_letters("($1 x2 ($2)^-1)^-1")
+    assert invert(u) == (VarLetter(2, 1), -2, VarLetter(1, -1))
+    assert power(u, -2) == parse_letters("($1 x2 ($2)^-1)^-2")
+    assert power(u, 3) == parse_letters("($1 x2 ($2)^-1)^3")
+    assert conjugate(u, v) == parse_letters("($1 x2 ($2)^-1)^(X1 $3)")
+    assert commutator(u, v) == parse_letters("[$1 x2 ($2)^-1, X1 $3]")
+    assert -VarLetter(4, -1) == VarLetter(4, 1)
+    assert free_reduce(parse_letters("$1 ($1)^-1")) == ()
+    assert free_reduce(parse_letters("$1 x1 ($2)^-1 $2 X1 $1")) == (
+        VarLetter(1, 1), VarLetter(1, 1))
 
 
 def test_word_to_str_roundtrip():
