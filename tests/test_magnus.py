@@ -160,7 +160,11 @@ def test_canonical_json_corpus():
     # walked; the cached element texts must reproduce them too.  The
     # `pdim` entries (seeded subgroups of S(m,2), m = 1..5, and both
     # families) were made by the Smith-transform lattice route; the
-    # Hermite basis must reproduce them.
+    # Hermite basis must reproduce them.  The `member` entries (both
+    # criteria, m = 1..3, n = 1..4, every i, with out-of-range i and the
+    # m = 1 commutator refusals as exit codes) were made by normalizing
+    # at class n and projecting the element; normalizing at class i - 1
+    # must reproduce them.
     for entry in json.loads(CORPUS.read_text()):
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
