@@ -24,9 +24,7 @@ from .free_solvable import (
     SolvableElement,
     free_solvable_group,
     normalize,
-    project,
     series_member_commutator,
-    series_member_projection,
     standard_witnesses,
 )
 from .linalg import (
@@ -82,16 +80,26 @@ def _cmd_comm(args: argparse.Namespace) -> int:
 
 
 def _cmd_project(args: argparse.Namespace) -> int:
-    element = normalize(args.m, args.n, parse_word(args.word, ngens=args.m))
-    _print_element(project(element, args.k), args.json)
+    # The image of w in S(m, k) is the canonical form of w there, so the
+    # word is normalized at class k, not n.
+    word = parse_word(args.word, ngens=args.m)
+    free_solvable_group(args.m, args.n)
+    if not 0 <= args.k <= args.n:
+        raise ValueError(f"projection class {args.k} out of range 0..{args.n}")
+    _print_element(normalize(args.m, args.k, word), args.json)
     return 0
 
 
 def _cmd_member(args: argparse.Namespace) -> int:
-    element = normalize(args.m, args.n, parse_word(args.word, ngens=args.m))
+    word = parse_word(args.word, ngens=args.m)
     if args.criterion == "projection":
-        answer = series_member_projection(element, args.i)
+        # w lies in G_i exactly when its image in S(m, i-1) is trivial.
+        free_solvable_group(args.m, args.n)
+        if not 1 <= args.i <= args.n + 1:
+            raise ValueError(f"series index {args.i} out of range 1..{args.n + 1}")
+        answer = normalize(args.m, args.i - 1, word).is_trivial()
     else:
+        element = normalize(args.m, args.n, word)
         witnesses = standard_witnesses(args.m, args.n)[args.i - 1 :]
         answer = series_member_commutator(element, args.i, witnesses)
     if args.json:

@@ -18,26 +18,25 @@ homomorphism of S(m, n) into matrices mod p, taken at level
 min(n, FILTER_LEVEL) through the projection), which rejects a tuple only
 when it proves the equation's value nontrivial, so no solution is ever
 dropped; then, for the tuples the fingerprint cannot rule out, by the
-exact product of canonical forms, so no non-solution is kept.  A tuple
-costs a few matrix-vector products mod p (15 modular products each at
-level 4); exact products and exact inverses are paid only by survivors.
+word problem, so no non-solution is kept.  Each ball element carries its
+first shortest word from `ball_enumerate`, and a survivor's check
+substitutes those words into the equation's letters: a word that
+freely reduces to the empty word is trivial in every S(m, n), and any
+other is decided by `normalize`.  A tuple costs a few matrix-vector
+products mod p (15 modular products each at level 4); the word problem
+is paid only by survivors.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 from .errors import CapExceededError
 from .fingerprint import Fingerprint, apply, inverse
-from .free_solvable import (
-    SolvableElement,
-    ball_enumerate,
-    free_solvable_group,
-    normalize,
-)
-from .words import Letter, VarLetter, parse_letters
+from .free_solvable import SolvableElement, ball_enumerate, free_solvable_group, normalize
+from .words import Letter, VarLetter, Word, check_length, free_reduce, invert, parse_letters
 
 DEFAULT_ASSIGNMENT_CAP = 10_000_000
 
@@ -151,10 +150,10 @@ def solve_ball(
     """All assignments from the ball product on which every equation
     evaluates to the identity; deterministic canonical order.
 
-    Equations without variables are decided once, and variables that
-    occur in no equation range over the whole ball.  The others are
-    found by `_BallSearch`: filter by fingerprint, confirm exactly,
-    backtrack.
+    Equations without variables are decided once, by `normalize`, and
+    variables that occur in no equation range over the whole ball.  The
+    others are found by `_BallSearch`: filter by fingerprint, confirm by
+    the word problem, backtrack.
     """
     if nvars is None:
         nvars = system_arity(system)
@@ -175,12 +174,11 @@ def solve_ball(
             f"search space too large: {size}^{nvars} assignments exceeds cap "
             f"{assignment_cap}"
         )
-    prepared = [_prepare(s, group) for s in system]
-    with_vars = [p for p in prepared if any(is_var for is_var, _, _ in p)]
-    constant = [p for p in prepared if not any(is_var for is_var, _, _ in p)]
+    with_vars = [s for s in system if any(isinstance(x, VarLetter) for x in s.letters)]
+    constant = [s for s in system if all(isinstance(x, int) for x in s.letters)]
     solutions: list[tuple[SolvableElement, ...]] = []
-    if all(_evaluate_prepared(p, (), group).is_trivial() for p in constant):
-        pool = tuple(ball)
+    if all(normalize(m, n, s.letters).is_trivial() for s in constant):
+        pool = tuple(element for element, _ in ball)
         for partial in _BallSearch(ball, group, with_vars, nvars).run():
             pools = [pool if value is None else (value,) for value in partial]
             solutions.extend(itertools.product(*pools))
@@ -195,27 +193,23 @@ class _BallSearch:
     Each equation is checked at the depth of its last variable x: first
     by the fingerprint (`fingerprint.Fingerprint` at level
     min(n, FILTER_LEVEL)), whose rho(w) v != v proves w != 1, and only
-    then, for the candidates it cannot rule out, by the exact product.
-    The filter never drops a solution, and the exact check keeps no
-    non-solution.  The letters after the last occurrence of x are fixed
-    at that depth, so their image of v is formed once per visit; each
-    candidate then costs one matrix-vector product per remaining letter.
-    Fingerprints and their inverses are formed once per ball element,
-    exact inverses once per element that reaches an exact check.
+    then, for the candidates it cannot rule out, by the word problem on
+    the equation's letters with each variable replaced by its value's
+    ball word (`_trivial`).  The filter never drops a solution, and the
+    exact check keeps no non-solution.  The letters after the last
+    occurrence of x are fixed at that depth, so their image of v is
+    formed once per visit; each candidate then costs one matrix-vector
+    product per remaining letter.  Fingerprints and their inverses are
+    formed once per ball element.
     """
 
-    def __init__(
-        self,
-        ball: list[SolvableElement],
-        group: Any,
-        system: list[list[tuple[bool, Any, int]]],
-        nvars: int,
-    ):
-        self.ball = ball
+    def __init__(self, ball: list[tuple[SolvableElement, Word]], group: Any,
+                 system: list[MixedWord], nvars: int):
+        self.ball, self.words = zip(*ball)
         self.group = group
         fingerprint = Fingerprint(group.n, FILTER_LEVEL)
         self.vector = fingerprint.vector
-        matrices = [fingerprint.matrix(e) for e in ball]
+        matrices = [fingerprint.matrix(e) for e in self.ball]
         # Per sign of a variable occurrence: each ball element's matrix,
         # and its image of the vector.
         self.matrices = {1: matrices, -1: [inverse(a) for a in matrices]}
@@ -223,11 +217,11 @@ class _BallSearch:
             sign: [apply(a, self.vector) for a in self.matrices[sign]]
             for sign in (1, -1)
         }
-        self.inverses: list[SolvableElement | None] = [None] * len(ball)
         # Per last variable x: (letters before its last occurrence, its
-        # sign there, letters after it, word).
+        # sign there, letters after it, the equation's letters).
         tests: dict[int, list[Any]] = {}
-        for prepared in system:
+        for equation in system:
+            prepared = _prepare(equation, group)
             letters = [
                 (is_var, payload if is_var else fingerprint.matrix(payload), sign)
                 for is_var, payload, sign in prepared
@@ -236,9 +230,9 @@ class _BallSearch:
             last = max(i for i, (is_var, payload, _) in enumerate(prepared)
                        if is_var and payload == slot)
             tests.setdefault(slot, []).append(
-                (letters[:last], letters[last][2], letters[last + 1 :], prepared)
+                (letters[:last], letters[last][2], letters[last + 1 :], equation.letters)
             )
-        occurring = {payload for p in system for is_var, payload, _ in p if is_var}
+        occurring = {x.index - 1 for s in system for x in s.letters if isinstance(x, VarLetter)}
         self.order = sorted(occurring)
         self.tests = [tests.get(slot, []) for slot in self.order]
         self.indices = [0] * nvars
@@ -265,10 +259,10 @@ class _BallSearch:
         """The tests at this depth with the bound variables substituted:
         per equation (image of v under the letters after x, or None when
         there are none; sign of x; the letters before x right to left,
-        each a matrix or, for x, a matrix per ball element; word)."""
+        each a matrix or, for x, a matrix per ball element; letters)."""
         slot = self.order[depth]
         plan = []
-        for head, sign, tail, prepared in self.tests[depth]:
+        for head, sign, tail, letters in self.tests[depth]:
             start = None
             if tail:
                 start = self.vector
@@ -279,7 +273,7 @@ class _BallSearch:
                 else self._matrix(is_var, payload, s)
                 for is_var, payload, s in reversed(head)
             ]
-            plan.append((start, sign, ops, prepared))
+            plan.append((start, sign, ops, letters))
         return plan
 
     def _matrix(self, is_var: bool, payload: Any, sign: int) -> Any:
@@ -304,19 +298,24 @@ class _BallSearch:
             else:
                 self.indices[slot] = idx
                 self.values[slot] = self.ball[idx]
-                if all(
-                    _evaluate_prepared(prepared, self.values, self.group,
-                                       self._inverse).is_trivial()
-                    for _, _, _, prepared in plan
-                ):
+                if all(self._trivial(letters) for _, _, _, letters in plan):
                     yield idx
 
-    def _inverse(self, slot: int) -> SolvableElement:
-        idx = self.indices[slot]
-        value = self.inverses[idx]
-        if value is None:
-            value = self.inverses[idx] = self.group.inv(self.ball[idx])
-        return value
+    def _trivial(self, letters: tuple[Letter, ...]) -> bool:
+        """Whether the letters, with each variable replaced by its bound
+        value's ball word, are trivial in S(m, n).  A freely trivial word
+        is trivial in every S(m, n); any other is normalized.  The
+        length is checked before the word is built."""
+        words = [self.words[i] for i in self.indices]
+        check_length(sum(
+            len(words[x.index - 1]) if isinstance(x, VarLetter) else 1 for x in letters
+        ))
+        word = free_reduce(itertools.chain.from_iterable(
+            (x,) if isinstance(x, int)
+            else words[x.index - 1] if x.sign > 0 else invert(words[x.index - 1])
+            for x in letters
+        ))
+        return not word or normalize(self.group.m, self.group.n, word).is_trivial()
 
 
 def _prepare(s: MixedWord, group: Any) -> list[tuple[bool, Any, int]]:
@@ -334,18 +333,14 @@ def _prepare(s: MixedWord, group: Any) -> list[tuple[bool, Any, int]]:
 
 
 def _evaluate_prepared(
-    prepared: list[tuple[bool, Any, int]],
-    assignment: Sequence[Any],
-    group: Any,
-    inverse_of: Callable[[int], SolvableElement] | None = None,
+    prepared: list[tuple[bool, Any, int]], assignment: Sequence[Any], group: Any
 ) -> SolvableElement:
-    """The exact product; `inverse_of(slot)`, when given, supplies the
-    inverse of a variable's value in place of `group.inv`."""
+    """The exact product of canonical forms."""
     result = group.identity()
     for is_var, payload, sign in prepared:
         value = assignment[payload] if is_var else payload
         if sign < 0:
-            value = group.inv(value) if inverse_of is None else inverse_of(payload)
+            value = group.inv(value)
         result = group.mul(result, value)
     return result
 

@@ -31,6 +31,14 @@ DEFAULT_BALL_CAP = 1_000_000
 #: prints 0.5 MB.  At the cap every subcommand still handles short words.
 MAX_CLASS = 12
 
+#: Highest rank m for which S(m, n) is built; a higher rank raises
+#: CapExceededError.  Every class carries m coordinates, so a radius-1
+#: ball has 2m + 1 elements of size O(m): `solve -r 1` of a two-letter
+#: equation in S(m, 2), the slowest subcommand on a two-letter input,
+#: takes 0.35 / 0.60 / 0.95 / 3.4 s at m = 300 / 400 / 512 / 1000 on a
+#: 2-core Xeon.  Cost grows with the class as well (1.4 s in S(400, 3)).
+MAX_RANK = 400
+
 
 class SolvableElement:
     """Canonical form of an element of S(m, n).
@@ -117,6 +125,8 @@ class FreeSolvableGroup(Group):
             raise ValueError("class n must be non-negative")
         if n > MAX_CLASS:
             raise CapExceededError(f"class {n} exceeds cap {MAX_CLASS}")
+        if m > MAX_RANK:
+            raise CapExceededError(f"rank {m} exceeds cap {MAX_RANK}")
         self.m = m
         self.n = n
         self.ngens = m
@@ -297,12 +307,14 @@ def standard_witnesses(m: int, n: int) -> list[SolvableElement]:
 
 def ball_enumerate(
     m: int, n: int, radius: int, cap: int = DEFAULT_BALL_CAP
-) -> list[SolvableElement]:
-    """All distinct canonical forms of words of length <= radius.
+) -> list[tuple[SolvableElement, Word]]:
+    """All distinct canonical forms of words of length <= radius, each
+    with its first shortest word, sorted by canonical key.
 
-    Breadth-first over freely reduced words, deduplicating through a set
-    keyed on canonical serialization; the result is sorted by canonical
-    key and independent of exploration order.
+    Breadth-first over freely reduced words, deduplicating on canonical
+    keys.  A new element's word is its parent's word plus the letter
+    (tried as x1, X1, x2, X2, ...), so it is freely reduced, of minimal
+    length, and normalizes to the element.
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
@@ -312,23 +324,23 @@ def ball_enumerate(
             f"ball too large: more than {cap} reduced words of length <= {radius}"
         )
     identity = group.identity()
-    seen = {identity.key(): identity}
+    seen: dict[str, tuple[SolvableElement, Word]] = {identity.key(): (identity, ())}
     gens = {}
     for i in range(1, m + 1):
         gens[i] = group.generator(i)
         gens[-i] = group.inv(gens[i])
-    frontier: list[tuple[SolvableElement, int]] = [(identity, 0)]
+    frontier = [(identity, ())]
     for _ in range(radius):
-        next_frontier: list[tuple[SolvableElement, int]] = []
-        for element, last in frontier:
+        next_frontier = []
+        for element, word in frontier:
             for letter in gens:
-                if letter == -last:
+                if word and letter == -word[-1]:
                     continue
                 extended = group.mul(element, gens[letter])
                 key = extended.key()
                 if key not in seen:
-                    seen[key] = extended
-                    next_frontier.append((extended, letter))
+                    seen[key] = (extended, word + (letter,))
+                    next_frontier.append(seen[key])
         frontier = next_frontier
     return [seen[key] for key in sorted(seen)]
 

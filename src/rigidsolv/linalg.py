@@ -39,10 +39,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Sequence
 
-from .errors import CapExceededError
 from .group_ring import RingElement
 from .magnus import restricted_module_generators
-from .free_solvable import MAX_CLASS, free_solvable_group, normalize
+from .free_solvable import free_solvable_group, normalize
 from .words import Word
 
 # ---------------------------------------------------------------------------
@@ -772,8 +771,7 @@ def closed_form_dimension(family: str, m: int, n: int) -> PrincipalDimension:
     """
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 and n >= 1")
-    if n > MAX_CLASS:
-        raise CapExceededError(f"class {n} exceeds cap {MAX_CLASS}")
+    free_solvable_group(m, n)  # the class and rank caps
     if family in ("free_solvable", "free-solvable"):
         if n == 1:
             return PrincipalDimension((m,))

@@ -170,7 +170,7 @@ def test_criterion_8_centralizer_equals_derived_subgroup():
     sol = solve_ball([MixedWord.parse("[$1, [x1,x2]]")], 2, 2, 4)
     # independent double enumeration: filter the ball by abelianization
     expected = sorted(
-        ((e,) for e in ball_enumerate(2, 2, 4) if project(e, 1).is_trivial()),
+        ((e,) for e, _ in ball_enumerate(2, 2, 4) if project(e, 1).is_trivial()),
         key=lambda a: a[0].key(),
     )
     elapsed = time.perf_counter() - start

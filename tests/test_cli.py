@@ -10,7 +10,13 @@ import time
 import pytest
 
 from rigidsolv.cli import main
-from rigidsolv.free_solvable import MAX_CLASS
+from rigidsolv.free_solvable import (
+    MAX_CLASS,
+    MAX_RANK,
+    normalize,
+    project,
+    series_member_projection,
+)
 from rigidsolv.verify import MAX_SAMPLES
 from rigidsolv.words import word_to_str
 
@@ -280,9 +286,9 @@ def test_semantic_error_exit_2(capsys):
     assert "generator index" in err
 
 
-def class_argv(command, n):
+def class_argv(command, n, m=2):
     """A two-letter input for each subcommand that takes a class -n."""
-    group = ["-m", "2", "-n", str(n)]
+    group = ["-m", str(m), "-n", str(n)]
     return {
         "normalize": ["normalize", *group, "x1 x2"],
         "mul": ["mul", *group, "x1", "x2"],
@@ -309,6 +315,64 @@ def test_class_cap_exit_3(capsys, command):
     code, out, err = run(capsys, *class_argv(command, MAX_CLASS + 1))
     assert code == 3 and out == ""
     assert err == f"error: class {MAX_CLASS + 1} exceeds cap {MAX_CLASS}\n"
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["normalize", "mul", "comm", "project", "member", "fox", "sigma",
+     "wreath-embed", "pdim", "solve"],
+)
+def test_rank_cap_exit_3(capsys, command):
+    code, out, err = run(capsys, *class_argv(command, 2, MAX_RANK))
+    assert code == 0 and out and err == ""
+    code, out, err = run(capsys, *class_argv(command, 2, MAX_RANK + 1))
+    assert code == 3 and out == ""
+    assert err == f"error: rank {MAX_RANK + 1} exceeds cap {MAX_RANK}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["normalize", "-m", "100000000", "-n", "2", "x1"],
+    ["pdim", "-m", "100000000", "x1", "x2"],
+])
+def test_huge_rank_exits_3_at_once(capsys, argv):
+    # Both ran out of memory after about 9 s before the rank was capped.
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert err == f"error: rank 100000000 exceeds cap {MAX_RANK}\n"
+
+
+def test_member_and_project_match_the_element_route(capsys):
+    # `member --criterion projection` and `project` normalize the word at
+    # the class the answer lives in; the element route normalizes at
+    # class n and takes tops.  Out-of-range i and k keep its messages.
+    rng = random.Random(11)
+    for m in (1, 2, 3):
+        for n in range(5):
+            for _ in range(3):
+                word = [rng.choice([1, -1, 2, -2, 3, -3][: 2 * m]) for _ in range(12)]
+                text = word_to_str(word)
+                element = normalize(m, n, tuple(word))
+                group = ["-m", str(m), "-n", str(n)]
+                for i in range(n + 3):
+                    code, out, err = run(capsys, "member", *group, "-i", str(i), text)
+                    if 1 <= i <= n + 1:
+                        answer = series_member_projection(element, i)
+                        assert (code, out) == (0, "true\n" if answer else "false\n")
+                    else:
+                        with pytest.raises(ValueError) as info:
+                            series_member_projection(element, i)
+                        assert (code, out, err) == (2, "", f"error: {info.value}\n")
+                for k in range(-1, n + 2):
+                    code, out, err = run(capsys, "project", *group, "-k", str(k),
+                                         "--json", text)
+                    if 0 <= k <= n:
+                        assert (code, out) == (0, project(element, k).json_text() + "\n")
+                    else:
+                        with pytest.raises(ValueError) as info:
+                            project(element, k)
+                        assert (code, out, err) == (2, "", f"error: {info.value}\n")
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])
@@ -345,6 +409,17 @@ def test_witness_chain_past_word_cap_exit_3(capsys):
     assert err.count("\n") == 1
 
 
+def test_solve_substituted_word_past_word_cap_exit_3(capsys):
+    # A survivor of the filter is confirmed on the equation's letters with
+    # each variable replaced by its ball word, and that word's length is
+    # checked before it is built: for $1 = X1^10 the 200,000-letter
+    # equation becomes 1,100,000 letters, though they freely cancel.
+    code, out, err = run(capsys, "solve", "-m", "1", "-n", "1", "-r", "10",
+                         "-e", "[$1,x1]^50000")
+    assert code == 3 and out == ""
+    assert err == "error: word too long: 1100000 letters exceeds cap 1000000\n"
+
+
 def test_laurent_rank_cost_is_bounded_by_the_input_not_nvars(tmp_path, capsys):
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"nvars": 100_000_000, "rows": [[[]]]}))
@@ -358,6 +433,7 @@ SOLVE_OPS = [
     ["solve", "-m", "2", "-n", "3", "-r", "3", "-e", "[$1,$2]"],
     ["solve", "-m", "2", "-n", "2", "-r", "2", "-e", "[$1,$2]", "-e", "[$2,$3]"],
     ["solve", "-m", "2", "-n", "4", "-r", "3", "-e", "[$1,[x1,x2]]"],
+    ["solve", "-m", "2", "-n", "6", "-r", "2", "-e", "[[[$1,x1],[$2,x2]],x1]"],
 ]
 
 

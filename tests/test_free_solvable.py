@@ -17,7 +17,7 @@ from rigidsolv.free_solvable import (
     witness_words,
 )
 from rigidsolv.verify import module_action, random_word
-from rigidsolv.words import commutator, conjugate, parse_word
+from rigidsolv.words import commutator, conjugate, free_reduce, parse_word
 
 C = parse_word("[x1,x2]")
 
@@ -240,7 +240,7 @@ def test_no_torsion_c_u_nontrivial():
 
 def test_ball_rank_one():
     ball = ball_enumerate(1, 1, 2)
-    assert sorted(e.body[0] for e in ball) == [-2, -1, 0, 1, 2]
+    assert sorted(e.body[0] for e, _ in ball) == [-2, -1, 0, 1, 2]
 
 
 def test_ball_rank_two_radius_one():
@@ -268,9 +268,31 @@ def test_ball_abelian_collisions_deduplicated():
 
 def test_ball_sorted_and_deterministic():
     ball = ball_enumerate(2, 2, 3)
-    keys = [e.key() for e in ball]
+    keys = [e.key() for e, _ in ball]
     assert keys == sorted(keys)
-    assert keys == [e.key() for e in ball_enumerate(2, 2, 3)]
+    assert keys == [e.key() for e, _ in ball_enumerate(2, 2, 3)]
+
+
+def test_ball_words_are_reduced_shortest_and_normalize_to_their_element():
+    for m in (1, 2, 3):
+        letters = [s * i for i in range(1, m + 1) for s in (1, -1)]
+        radius = 3 if m < 3 else 2
+        words, layer = [()], [()]
+        for _ in range(radius):
+            layer = [w + (a,) for w in layer for a in letters if not w or a != -w[-1]]
+            words += layer
+        for n in range(5):
+            # `words` runs in length order, so the first word seen for
+            # each element is a shortest one.
+            shortest = {}
+            for w in words:
+                shortest.setdefault(normalize(m, n, w).key(), len(w))
+            ball = ball_enumerate(m, n, radius)
+            assert len(ball) == len(shortest)
+            for element, word in ball:
+                assert free_reduce(word) == word
+                assert len(word) == shortest[element.key()]
+                assert normalize(m, n, word) == element
 
 
 def test_ball_cap():
