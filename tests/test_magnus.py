@@ -149,7 +149,7 @@ def test_generator_power_closed_form(k):
 CORPUS = pathlib.Path(__file__).with_name("canonical_corpus.json")
 
 
-def test_canonical_json_corpus():
+def test_canonical_json_corpus(monkeypatch):
     # SHA-256 digests of stdout: `normalize --json` and `fox --json` made
     # by the left-to-right fold evaluator, and `wreath-embed` (JSON and
     # text, with its exit code) made by the base-function wreath product.
@@ -164,8 +164,12 @@ def test_canonical_json_corpus():
     # criteria, m = 1..3, n = 1..4, every i, with out-of-range i and the
     # m = 1 commutator refusals as exit codes) were made by normalizing
     # at class n and projecting the element; normalizing at class i - 1
-    # must reproduce them.
+    # must reproduce them.  The `rank` entries (seeded Smith and Laurent
+    # matrices, empty and zero shapes, and malformed input with its exit
+    # code) carry the matrix as `stdin`.
     for entry in json.loads(CORPUS.read_text()):
+        if "stdin" in entry:
+            monkeypatch.setattr("sys.stdin", io.StringIO(entry["stdin"]))
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             assert main(entry["argv"]) == entry.get("exit", 0), entry["argv"]
