@@ -52,7 +52,7 @@ def _print_element(e: SolvableElement, as_json: bool) -> None:
         print(f"vector: {e.key()}")
     else:
         matrix = e.body
-        print(f"top: {matrix.base.key(matrix.top)}")
+        print(f"top: {matrix.top.key()}")
         for i, d in enumerate(matrix.coords, start=1):
             print(f"d[{i}]: {d}")
 
@@ -120,7 +120,7 @@ def _cmd_fox(args: argparse.Namespace) -> int:
         print(matrix.json_text())
     else:
         print(f"base: S({args.m},{args.n - 1})")
-        print(f"top: {base.key(matrix.top)}")
+        print(f"top: {matrix.top.key()}")
         for i, d in enumerate(matrix.coords, start=1):
             print(f"d[{i}]: {d}")
     return 0
@@ -142,10 +142,10 @@ def _cmd_wreath_embed(args: argparse.Namespace) -> int:
     codomain = embedding_codomain(args.m, args.n)
     if args.json:
         label = json.dumps(codomain.label)
-        print(f'{{"codomain": {label}, "element": {point_text(codomain, image)}}}')
+        print(f'{{"codomain": {label}, "element": {point_text(image)}}}')
     else:
         print(f"codomain: {codomain.label}")
-        print(codomain.key(image))
+        print(image.key())
     return 0
 
 

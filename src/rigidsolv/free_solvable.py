@@ -75,7 +75,7 @@ class SolvableElement:
             return True
         if self.n == 1:
             return not any(self.body)
-        return self.body.is_identity()
+        return self.body.is_trivial()
 
     def __mul__(self, other: "SolvableElement") -> "SolvableElement":
         return self.group.mul(self, other)
@@ -168,21 +168,10 @@ class FreeSolvableGroup(Group):
             return SolvableElement(self.m, 1, tuple(-x for x in a.body))
         return SolvableElement(self.m, self.n, a.body.inv())
 
-    def key(self, a: SolvableElement) -> str:
-        self._check(a)
-        return a.key()
-
-    def is_identity(self, a: SolvableElement) -> bool:
-        self._check(a)
-        return a.is_trivial()
-
     def generator(self, i: int) -> SolvableElement:
         if not 1 <= i <= self.m:
             raise ValueError(f"bad generator index {i} (rank {self.m})")
         return normalize(self.m, self.n, (i,))
-
-    def element_text(self, a: SolvableElement) -> str:
-        return a.json_text()
 
     def _check(self, a: SolvableElement) -> None:
         if not isinstance(a, SolvableElement) or (a.m, a.n) != (self.m, self.n):

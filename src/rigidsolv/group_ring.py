@@ -2,7 +2,8 @@
 
 A ring element is a finitely supported formal sum of group elements with
 unbounded integer coefficients.  The support maps each element's
-canonical key to the pair (element, coefficient); zero coefficients are
+canonical key (`element.key()`) to the pair (element, coefficient); the
+group is used only to multiply and for its identity.  Zero coefficients are
 never stored, so the zero element has empty support.  Values are
 immutable and safe to share between threads.
 """
@@ -37,13 +38,13 @@ class RingElement:
     def monomial(group: Group, element: Any, coeff: int = 1) -> "RingElement":
         if coeff == 0:
             return RingElement.zero(group)
-        return RingElement(group, {group.key(element): (element, coeff)})
+        return RingElement(group, {element.key(): (element, coeff)})
 
     @staticmethod
     def from_terms(group: Group, terms: Iterable[tuple[Any, int]]) -> "RingElement":
         support: dict[str, tuple[Any, int]] = {}
         for element, coeff in terms:
-            key = group.key(element)
+            key = element.key()
             if key in support:
                 coeff += support[key][1]
             if coeff:
@@ -58,7 +59,7 @@ class RingElement:
         return not self.support
 
     def coeff(self, element: Any) -> int:
-        entry = self.support.get(self.group.key(element))
+        entry = self.support.get(element.key())
         return entry[1] if entry else 0
 
     def terms(self) -> list[tuple[Any, int]]:
@@ -119,7 +120,7 @@ class RingElement:
         for g, a in self.support.values():
             for h, b in other.support.values():
                 product = group.mul(g, h)
-                key = group.key(product)
+                key = product.key()
                 if key in support:
                     total = support[key][1] + a * b
                     if total:
@@ -133,12 +134,12 @@ class RingElement:
     def translate(self, g: Any) -> "RingElement":
         """Right translation: every support element is multiplied by g."""
         group = self.group
-        if not self.support or group.is_identity(g):
+        if not self.support or g.is_trivial():
             return self
         support: dict[str, tuple[Any, int]] = {}
         for element, coeff in self.support.values():
             shifted = group.mul(element, g)
-            support[group.key(shifted)] = (shifted, coeff)
+            support[shifted.key()] = (shifted, coeff)
         return RingElement(group, support)
 
     # -- equality and serialization -------------------------------------
@@ -163,8 +164,7 @@ class RingElement:
         if not self.support:
             return "0"
         return " + ".join(
-            f"{coeff}*{self.group.key(element)}"
-            for element, coeff in self.terms()
+            f"{coeff}*{element.key()}" for element, coeff in self.terms()
         )
 
     def __repr__(self) -> str:
@@ -173,9 +173,8 @@ class RingElement:
     def json_text(self) -> str:
         """Canonical JSON text: a list of {"coeff", "element"} terms in
         canonical key order."""
-        text = self.group.element_text
         return "[" + ", ".join(
-            f'{{"coeff": {coeff}, "element": {text(element)}}}'
+            f'{{"coeff": {coeff}, "element": {element.json_text()}}}'
             for element, coeff in self.terms()
         ) + "]"
 

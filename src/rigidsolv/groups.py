@@ -1,13 +1,13 @@
 """Base-group interface used by the group ring and matrix layers.
 
-A group object owns its element representation: elements are immutable
-values (canonical forms, split matrices, ...) and all operations go
-through the group.  Every group provides a canonical key for each
-element - a deterministic string such that two elements are equal in the
-group iff their keys coincide.  Keys drive hashing and sorting.  Each
-group also writes an element's canonical JSON text (`element_text`); the
-shared element classes cache that text, so a sub-element that sits under
-many parents is serialized once.
+A group object does the arithmetic: identity, product, inverse and
+generators.  Its elements are immutable values (canonical forms, split
+matrices, ...) that answer for themselves: `key()` is a deterministic
+string such that two elements of one group are equal iff their keys
+coincide (keys drive hashing and sorting), `is_trivial()` tests for the
+identity, and `json_text()` is the canonical JSON text.  The shared
+element classes cache key and text, so a sub-element that sits under
+many parents is keyed and serialized once.
 """
 
 from __future__ import annotations
@@ -19,12 +19,12 @@ from .words import Word
 
 
 class Group:
-    """Abstract group with canonical element keys.
+    """Abstract group: arithmetic on elements that key themselves.
 
     Subclasses must set ``label`` (a string identifying the ambient group;
     two group objects are interchangeable iff labels match) and ``ngens``,
-    and implement ``identity``, ``mul``, ``inv``, ``key``, ``is_identity``,
-    ``generator``, and ``element_text``.
+    and implement ``identity``, ``mul``, ``inv`` and ``generator``.  Their
+    elements provide ``key``, ``is_trivial`` and ``json_text``.
     """
 
     label: str
@@ -39,18 +39,8 @@ class Group:
     def inv(self, a: Any) -> Any:
         raise NotImplementedError
 
-    def key(self, a: Any) -> str:
-        raise NotImplementedError
-
     def generator(self, i: int) -> Any:
         """Image of the i-th free generator, 1-based."""
-        raise NotImplementedError
-
-    def element_text(self, a: Any) -> str:
-        """Canonical JSON text of an element, as `json.dumps` would write it."""
-        raise NotImplementedError
-
-    def is_identity(self, a: Any) -> bool:
         raise NotImplementedError
 
     def pow(self, a: Any, k: int) -> Any:

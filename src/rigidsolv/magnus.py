@@ -75,8 +75,8 @@ class SplitMatrix:
         coords = [-(d.translate(top)) for d in self.coords]
         return SplitMatrix(self.base, top, coords)
 
-    def is_identity(self) -> bool:
-        return self.base.is_identity(self.top) and all(
+    def is_trivial(self) -> bool:
+        return self.top.is_trivial() and all(
             d.is_zero() for d in self.coords
         )
 
@@ -85,7 +85,7 @@ class SplitMatrix:
     def key(self) -> str:
         if self._key is None:
             coord_keys = ";".join(d.canonical_key() for d in self.coords)
-            self._key = f"[{self.base.key(self.top)}|{coord_keys}]"
+            self._key = f"[{self.top.key()}|{coord_keys}]"
         return self._key
 
     def __eq__(self, other: object) -> bool:
@@ -98,7 +98,7 @@ class SplitMatrix:
 
     def __str__(self) -> str:
         coords = ", ".join(str(d) for d in self.coords)
-        return f"[top={self.base.key(self.top)}; d=({coords})]"
+        return f"[top={self.top.key()}; d=({coords})]"
 
     __repr__ = __str__
 
@@ -106,7 +106,7 @@ class SplitMatrix:
         """Canonical JSON text {"top", "coords"}, joined from the cached
         texts of the top and the support elements."""
         coords = ", ".join(d.json_text() for d in self.coords)
-        return f'{{"top": {self.base.element_text(self.top)}, "coords": [{coords}]}}'
+        return f'{{"top": {self.top.json_text()}, "coords": [{coords}]}}'
 
 
 @lru_cache(maxsize=4096)

@@ -125,7 +125,7 @@ def check_product_rule(seed: int = 0, samples: int = 500) -> CheckReport:
                     {"u": word_to_str(u), "v": word_to_str(v), "base": base.label}
                 )
             back = eval_word(u, base) * eval_word(u, base).inv()
-            if not back.is_identity():
+            if not back.is_trivial():
                 report.failures.append({"u": word_to_str(u), "base": base.label,
                                         "kind": "inverse"})
 
@@ -163,7 +163,7 @@ def module_action(
     group = free_solvable_group(c.m, c.n)
     result = group.identity()
     for element, coeff in u.terms():
-        lift = lifts[u.group.key(element)]
+        lift = lifts[element.key()]
         result = group.mul(result, group.pow(group.conjugate(c, lift), coeff))
     return result
 
@@ -224,7 +224,7 @@ def _random_ring_element(
             coeff = rng.choice([-2, -1, 1, 2])
             element = normalize(m, n - 1, word)
             terms.append((element, coeff))
-            lifts[base.key(element)] = normalize(m, n, word)
+            lifts[element.key()] = normalize(m, n, word)
         u = RingElement.from_terms(base, terms)
         if not u.is_zero():
             return u, lifts
@@ -298,7 +298,7 @@ def check_lex_drop(seed: int = 0, samples: int = 1) -> CheckReport:
         kernel_word = commutator((1,), conjugate((1,), (2,)))
         if normalize(2, 2, kernel_word).is_trivial():
             report.failures.append({"kind": "kernel witness trivial in source"})
-        if not wr.is_identity(wr.evaluate_word(kernel_word, images)):
+        if not wr.evaluate_word(kernel_word, images).is_trivial():
             report.failures.append({"kind": "kernel witness survives in target"})
         if lex_compare(computed, target) != 1:
             report.failures.append(

@@ -14,8 +14,8 @@ Iterating the construction over Z^m gives W(m, n) = Z^m wr W(m, n-1)
 with W(m, 0) = Z^m, which is the group S(m, 1) itself.  So S(m, n)
 embeds into W(m, n-1) (and hence into every higher level);
 `embedding_codomain` returns that group.  Serialized wreath elements
-write points of W(m, 0) as bare exponent lists and other points as their
-group's element text (`point_text`); each element caches its own text,
+write points of W(m, 0) as bare exponent lists and other points as
+their own `json_text` (`point_text`); each element caches its own text,
 so a point shared by many elements is written once.
 """
 
@@ -69,14 +69,13 @@ class WreathElement:
 
     def key(self) -> str:
         if self._key is None:
-            top_group = self.product.top_group
             base = self.base
             inner = ",".join(f"{key}:{base[key][1]}" for key in sorted(base))
-            self._key = f"w[{top_group.key(self.top)}|{inner}]"
+            self._key = f"w[{self.top.key()}|{inner}]"
         return self._key
 
     def is_trivial(self) -> bool:
-        return self.matrix.is_identity()
+        return self.matrix.is_trivial()
 
     def __mul__(self, other: "WreathElement") -> "WreathElement":
         return self.product.mul(self, other)
@@ -99,17 +98,16 @@ class WreathElement:
         """Canonical JSON text {"level", "top", "base"}, built once per
         element; the base function is listed in canonical key order."""
         if self._text is None:
-            top_group = self.product.top_group
             base = self.base
             points = ", ".join(
-                f'{{"at": {point_text(top_group, base[key][0])}, '
+                f'{{"at": {point_text(base[key][0])}, '
                 f'"vec": {int_list_text(base[key][1])}}}'
                 for key in sorted(base)
             )
             level = self.product.level
             self._text = (
                 f'{{"level": {"null" if level is None else level}, '
-                f'"top": {point_text(top_group, self.top)}, "base": [{points}]}}'
+                f'"top": {point_text(self.top)}, "base": [{points}]}}'
             )
         return self._text
 
@@ -148,14 +146,6 @@ class WreathProduct(Group):
         self._check(a)
         return WreathElement(self, a.matrix.inv())
 
-    def key(self, a: WreathElement) -> str:
-        self._check(a)
-        return a.key()
-
-    def is_identity(self, a: WreathElement) -> bool:
-        self._check(a)
-        return a.is_trivial()
-
     def generator(self, i: int) -> WreathElement:
         """Generators 1..m are the base deltas at the identity; the rest
         lift the top group's generators."""
@@ -167,9 +157,6 @@ class WreathProduct(Group):
                 tuple(1 if j == i - 1 else 0 for j in range(self.m)),
             )
         return self.lift(self.top_group.generator(i - self.m))
-
-    def element_text(self, a: WreathElement) -> str:
-        return a.json_text()
 
     def delta(self, at: Any, vec: tuple[int, ...]) -> WreathElement:
         """Base-only element supported at a single point."""
@@ -216,16 +203,16 @@ def embedding_codomain(m: int, n: int) -> Group:
     return iterated_wreath(m, max(n - 1, 0))
 
 
-def point_text(group: Group, element: Any) -> str:
+def point_text(element: Any) -> str:
     """JSON text of an element of a wreath product's top group.
 
     Points of W(m, 0) = S(m, 1) are written as bare exponent lists, not
-    in the {"m", "n", "body"} form of S(m, n); other groups use their own
-    `element_text`.
+    in the {"m", "n", "body"} form of S(m, n); other elements use their
+    own `json_text`.
     """
     if isinstance(element, SolvableElement) and element.n == 1:
         return int_list_text(element.body)
-    return group.element_text(element)
+    return element.json_text()
 
 
 def embed_free_solvable(e: SolvableElement) -> Any:

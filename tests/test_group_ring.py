@@ -9,7 +9,7 @@ from conftest import zvec
 
 from rigidsolv.errors import AmbientMismatchError
 from rigidsolv.group_ring import RingElement
-from rigidsolv.free_solvable import FreeSolvableGroup, free_solvable_group, normalize
+from rigidsolv.free_solvable import SolvableElement, free_solvable_group, normalize
 
 Z2 = free_solvable_group(2, 1)
 ONE = RingElement.one(Z2)
@@ -106,11 +106,11 @@ def test_translate_of_zero_skips_identity_check(m, monkeypatch):
     # A letter's image in S(m, 3) has m - 1 zero coordinates; translating
     # them must not pay the O(m) identity test each, or products cost m^2.
     calls = []
-    is_identity = FreeSolvableGroup.is_identity
+    is_trivial = SolvableElement.is_trivial
     monkeypatch.setattr(
-        FreeSolvableGroup,
-        "is_identity",
-        lambda group, a: calls.append(a) or is_identity(group, a),
+        SolvableElement,
+        "is_trivial",
+        lambda a: calls.append(a) or is_trivial(a),
     )
     normalize(m, 3, (1,))
     assert len(calls) == 1
@@ -187,7 +187,7 @@ def fundamental_ideal_combination(u):
     return [
         (element, coeff)
         for element, coeff in u.terms()
-        if not u.group.is_identity(element)
+        if not element.is_trivial()
     ]
 
 
@@ -222,7 +222,7 @@ def test_terms_sorted_by_canonical_key():
     rng = random.Random(5)
     for _ in range(20):
         u = rand_element(rng, size=5)
-        keys = [Z2.key(g) for g, _ in u.terms()]
+        keys = [g.key() for g, _ in u.terms()]
         assert keys == sorted(keys)
 
 

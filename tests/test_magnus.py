@@ -78,24 +78,24 @@ def test_inv_involution_and_inverse_law():
     for _ in range(30):
         p = eval_word(random_word(rng, 2, 6), Z2)
         assert p.inv().inv() == p
-        assert (p * p.inv()).is_identity()
-        assert (p.inv() * p).is_identity()
+        assert (p * p.inv()).is_trivial()
+        assert (p.inv() * p).is_trivial()
 
 
 # -- eval_word ----------------------------------------------------------------
 
 
 def test_empty_word_is_identity():
-    assert eval_word((), Z2).is_identity()
+    assert eval_word((), Z2).is_trivial()
 
 
 def test_free_cancellation():
-    assert eval_word((1, -1), Z2).is_identity()
+    assert eval_word((1, -1), Z2).is_trivial()
 
 
 def test_commutator_coordinates():
     p = eval_word(parse_word("[x1,x2]"), Z2)
-    assert Z2.is_identity(p.top)
+    assert p.top.is_trivial()
     assert p.coords == (B2 - ONE, ONE - B1)
 
 
@@ -201,10 +201,10 @@ def test_kernel_direction_with_independent_witnesses():
             ]
             finite_images = [eval_perm_word(w, gs) for gs in witnesses]
             identity = perm_identity(len(degree_group[0]))
-            if image.is_identity():
+            if image.is_trivial():
                 assert all(img == identity for img in finite_images)
             elif any(img != identity for img in finite_images):
-                assert not image.is_identity()
+                assert not image.is_trivial()
 
 
 def test_kernel_membership_by_construction():
@@ -221,7 +221,7 @@ def test_kernel_membership_by_construction():
         base = free_solvable_group(2, k)
         for _ in range(5):
             w = derived_word(k + 1)
-            assert eval_word(w, base).is_identity()
+            assert eval_word(w, base).is_trivial()
 
 
 # -- sigma ----------------------------------------------------------------------
@@ -260,7 +260,7 @@ def test_basis_rows():
 
 def test_commutator_row():
     [(coords, top)] = restricted_module_generators([parse_word("[x1,x2]")], Z2)
-    assert Z2.is_identity(top)
+    assert top.is_trivial()
     assert coords == (B2 - ONE, ONE - B1)
 
 
