@@ -3,7 +3,7 @@
 from .errors import AmbientMismatchError, CapExceededError, WordSyntaxError
 from .groups import Group
 from .group_ring import RingElement
-from .magnus import SplitMatrix, eval_word, restricted_module_generators, sigma
+from .magnus import SplitMatrix, eval_word, sigma
 from .free_solvable import (
     FreeSolvableGroup,
     SolvableElement,
@@ -82,7 +82,6 @@ __all__ = [
     "parse_word",
     "principal_dimension_metabelian",
     "project",
-    "restricted_module_generators",
     "run_all",
     "series_member_commutator",
     "series_member_projection",

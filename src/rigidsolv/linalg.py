@@ -40,7 +40,6 @@ from fractions import Fraction
 from typing import Any, Sequence
 
 from .group_ring import RingElement
-from .magnus import restricted_module_generators
 from .free_solvable import free_solvable_group, normalize
 from .words import Word
 
@@ -743,9 +742,9 @@ def principal_dimension_metabelian(
         raise ValueError("generator list must be nonempty")
     group = free_solvable_group(m, 2)
     elements = [normalize(m, 2, w) for w in generators]
-    base = free_solvable_group(m, 1)
-    pairs = restricted_module_generators(list(generators), base)
-    lattice = hermite_basis([top.body for _, top in pairs])
+    # Each element's split matrix over S(m, 1) = Z^m carries the
+    # generator's exponent vector (its top) and its coordinate row.
+    lattice = hermite_basis([e.body.top.body for e in elements])
     r1 = len(lattice)
     if r1 == 0:
         raise ValueError("trivial image: generators die in the abelianization")
@@ -756,7 +755,7 @@ def principal_dimension_metabelian(
     )
     if abelian:
         return PrincipalDimension((r1,))
-    rows = [coords for coords, _ in pairs]
+    rows = [e.body.coords for e in elements]
     module_rank = coset_rank(rows, lattice)
     return PrincipalDimension((r1, module_rank - 1))
 

@@ -166,20 +166,3 @@ def sigma(p: SplitMatrix) -> RingElement:
         total = total + step * d
     return total
 
-
-def restricted_module_generators(
-    generators: Sequence[Word], base: Group
-) -> list[tuple[tuple[RingElement, ...], Any]]:
-    """Coordinate rows and base images of a subgroup's generating words.
-
-    For each generating word a_j returns (row d(a_j), top a_j-bar); the
-    rows generate, over the subring Z[A-bar], the module of the induced
-    splitting of the subgroup.
-    """
-    if not generators:
-        raise ValueError("generator list must be nonempty")
-    out = []
-    for word in generators:
-        image = eval_word(word, base)
-        out.append((image.coords, image.top))
-    return out

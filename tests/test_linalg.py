@@ -9,7 +9,7 @@ from conftest import minor_rank_int, minor_rank_laurent, zvec
 
 from rigidsolv import linalg
 from rigidsolv.group_ring import RingElement
-from rigidsolv.magnus import eval_word, restricted_module_generators
+from rigidsolv.magnus import eval_word
 from rigidsolv.free_solvable import free_solvable_group, normalize
 from rigidsolv.linalg import (
     PRIME,
@@ -493,8 +493,7 @@ def test_dimension_brute_force_independence_oracle():
     # all combinations with bounded support (powers of b1 in [-1,1]) and
     # bounded coefficients
     base = free_solvable_group(2, 1)
-    pairs = restricted_module_generators([(1,), parse_word("[x1,x2]")], base)
-    rows = [coords for coords, _ in pairs]
+    rows = [eval_word(w, base).coords for w in [(1,), parse_word("[x1,x2]")]]
     shifts = [normalize(2, 1, (1,) * k if k >= 0 else (-1,) * -k) for k in (-1, 0, 1)]
 
     def coefficients():
@@ -515,6 +514,11 @@ def test_dimension_brute_force_independence_oracle():
 def test_abelian_subgroup_gets_length_one():
     assert principal_dimension_metabelian([(1,)], 2).values == (1,)
     assert principal_dimension_metabelian([(1,), (1, 1)], 2).values == (1,)
+
+
+def test_empty_generators_rejected():
+    with pytest.raises(ValueError, match="nonempty"):
+        principal_dimension_metabelian([], 2)
 
 
 def test_trivial_image_error():

@@ -12,12 +12,7 @@ from conftest import S3, S4, eval_perm_word, perm_identity, zvec
 from rigidsolv.cli import main
 from rigidsolv.errors import AmbientMismatchError
 from rigidsolv.group_ring import RingElement
-from rigidsolv.magnus import (
-    SplitMatrix,
-    eval_word,
-    restricted_module_generators,
-    sigma,
-)
+from rigidsolv.magnus import SplitMatrix, eval_word, sigma
 from rigidsolv.free_solvable import SolvableElement, free_solvable_group
 from rigidsolv.verify import random_word
 from rigidsolv.words import commutator, parse_word
@@ -249,30 +244,25 @@ def test_sigma_fundamental_identity_random():
             assert sigma(p) == expected
 
 
-# -- restricted_module_generators -------------------------------------------------
+# -- module generators: rows and tops of subgroup generators ---------------------
 
 
 def test_basis_rows():
-    pairs = restricted_module_generators([(1,), (2,)], Z2)
-    assert pairs[0] == ((ONE, ZERO), zvec(1, 0))
-    assert pairs[1] == ((ZERO, ONE), zvec(0, 1))
+    first, second = eval_word((1,), Z2), eval_word((2,), Z2)
+    assert (first.coords, first.top) == ((ONE, ZERO), zvec(1, 0))
+    assert (second.coords, second.top) == ((ZERO, ONE), zvec(0, 1))
 
 
 def test_commutator_row():
-    [(coords, top)] = restricted_module_generators([parse_word("[x1,x2]")], Z2)
-    assert top.is_trivial()
-    assert coords == (B2 - ONE, ONE - B1)
+    image = eval_word(parse_word("[x1,x2]"), Z2)
+    assert image.top.is_trivial()
+    assert image.coords == (B2 - ONE, ONE - B1)
 
 
 def test_square_row():
-    [(coords, top)] = restricted_module_generators([(1, 1)], Z2)
-    assert top == zvec(2, 0)
-    assert coords == (ONE + B1, ZERO)
-
-
-def test_empty_generators_rejected():
-    with pytest.raises(ValueError):
-        restricted_module_generators([], Z2)
+    image = eval_word((1, 1), Z2)
+    assert image.top == zvec(2, 0)
+    assert image.coords == (ONE + B1, ZERO)
 
 
 # -- serialization -----------------------------------------------------------------
