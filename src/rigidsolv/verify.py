@@ -94,65 +94,70 @@ def random_word(rng: random.Random, m: int, max_len: int = 10) -> Word:
     return tuple(letters)
 
 
-def _timed(check: Callable[[CheckReport], None], report: CheckReport) -> CheckReport:
-    start = time.perf_counter()
-    check(report)
-    report.elapsed = time.perf_counter() - start
-    return report
+_Body = Callable[[CheckReport, random.Random], None]
 
 
-def check_product_rule(seed: int = 0, samples: int = 500) -> CheckReport:
+def _check(
+    name: str, statement: str, samples: int | None
+) -> Callable[[_Body], Callable[..., CheckReport]]:
+    """Make a check `(seed=0, samples=<default>) -> CheckReport` from a
+    body that records failures on the report.
+
+    The report is built first, so a sample count over MAX_SAMPLES raises
+    before the body runs; the body then gets `random.Random(seed)` and is
+    timed.  `samples` is the default count; None marks one fixed case,
+    which reports one sample whatever it is asked for.
+    """
+    fixed = samples is None
+    default = 1 if fixed else samples
+
+    def decorate(body: _Body) -> Callable[..., CheckReport]:
+        def check(seed: int = 0, samples: int = default) -> CheckReport:
+            report = CheckReport(name, statement, seed, 1 if fixed else samples)
+            start = time.perf_counter()
+            body(report, random.Random(seed))
+            report.elapsed = time.perf_counter() - start
+            return report
+
+        check.__name__ = check.__qualname__ = body.__name__
+        check.__doc__ = body.__doc__
+        return check
+
+    return decorate
+
+
+@_check("product_rule", "coordinate row of a product: d(uv) = d(u)*v-bar + d(v)", 500)
+def check_product_rule(report: CheckReport, rng: random.Random) -> None:
     """d(uv) = d(u)*v-bar + d(v): evaluating a concatenation equals the
     split-matrix product of the factors' evaluations."""
-    report = CheckReport(
-        "product_rule",
-        "coordinate row of a product: d(uv) = d(u)*v-bar + d(v)",
-        seed,
-        samples,
-    )
-
-    def run(report: CheckReport) -> None:
-        rng = random.Random(seed)
-        groups = [free_solvable_group(2, 1), free_solvable_group(2, 2)]
-        for index in range(samples):
-            base = groups[index % len(groups)]
-            u = random_word(rng, 2)
-            v = random_word(rng, 2)
-            whole = eval_word(u + v, base)
-            parts = eval_word(u, base) * eval_word(v, base)
-            if whole != parts:
-                report.failures.append(
-                    {"u": word_to_str(u), "v": word_to_str(v), "base": base.label}
-                )
-            back = eval_word(u, base) * eval_word(u, base).inv()
-            if not back.is_trivial():
-                report.failures.append({"u": word_to_str(u), "base": base.label,
-                                        "kind": "inverse"})
-
-    return _timed(run, report)
+    groups = [free_solvable_group(2, 1), free_solvable_group(2, 2)]
+    for index in range(report.samples):
+        base = groups[index % len(groups)]
+        u = random_word(rng, 2)
+        v = random_word(rng, 2)
+        whole = eval_word(u + v, base)
+        parts = eval_word(u, base) * eval_word(v, base)
+        if whole != parts:
+            report.failures.append(
+                {"u": word_to_str(u), "v": word_to_str(v), "base": base.label}
+            )
+        back = eval_word(u, base) * eval_word(u, base).inv()
+        if not back.is_trivial():
+            report.failures.append({"u": word_to_str(u), "base": base.label,
+                                    "kind": "inverse"})
 
 
-def check_sigma(seed: int = 0, samples: int = 500) -> CheckReport:
+@_check("sigma", "fundamental identity sigma(d(w)) = w-bar - 1", 500)
+def check_sigma(report: CheckReport, rng: random.Random) -> None:
     """sigma(d(w)) = w-bar - 1 in the base group ring."""
-    report = CheckReport(
-        "sigma",
-        "fundamental identity sigma(d(w)) = w-bar - 1",
-        seed,
-        samples,
-    )
-
-    def run(report: CheckReport) -> None:
-        rng = random.Random(seed)
-        groups = [free_solvable_group(2, 1), free_solvable_group(2, 2)]
-        for index in range(samples):
-            base = groups[index % len(groups)]
-            w = random_word(rng, 2)
-            image = eval_word(w, base)
-            expected = RingElement.monomial(base, image.top) - RingElement.one(base)
-            if sigma(image) != expected:
-                report.failures.append({"w": word_to_str(w), "base": base.label})
-
-    return _timed(run, report)
+    groups = [free_solvable_group(2, 1), free_solvable_group(2, 2)]
+    for index in range(report.samples):
+        base = groups[index % len(groups)]
+        w = random_word(rng, 2)
+        image = eval_word(w, base)
+        expected = RingElement.monomial(base, image.top) - RingElement.one(base)
+        if sigma(image) != expected:
+            report.failures.append({"w": word_to_str(w), "base": base.label})
 
 
 def module_action(
@@ -168,30 +173,19 @@ def module_action(
     return result
 
 
-def check_no_torsion(seed: int = 0, samples: int = 200) -> CheckReport:
+@_check(
+    "no_torsion", "bottom series factor has no group-ring torsion: c^u != 1", 200
+)
+def check_no_torsion(report: CheckReport, rng: random.Random) -> None:
     """For nontrivial c in the bottom series term and nonzero u over the
     quotient's group ring, c^u is never trivial."""
-    report = CheckReport(
-        "no_torsion",
-        "bottom series factor has no group-ring torsion: c^u != 1",
-        seed,
-        samples,
-    )
-
-    def run(report: CheckReport) -> None:
-        rng = random.Random(seed)
-        cases = [(2, 2), (2, 3)]
-        for index in range(samples):
-            m, n = cases[index % len(cases)]
-            group = free_solvable_group(m, n)
-            c = _random_bottom_element(rng, m, n)
-            u, lifts = _random_ring_element(rng, m, n)
-            if module_action(c, u, lifts).is_trivial():
-                report.failures.append(
-                    {"m": m, "n": n, "c": c.key(), "u": str(u)}
-                )
-
-    return _timed(run, report)
+    cases = [(2, 2), (2, 3)]
+    for index in range(report.samples):
+        m, n = cases[index % len(cases)]
+        c = _random_bottom_element(rng, m, n)
+        u, lifts = _random_ring_element(rng, m, n)
+        if module_action(c, u, lifts).is_trivial():
+            report.failures.append({"m": m, "n": n, "c": c.key(), "u": str(u)})
 
 
 def _random_bottom_element(
@@ -230,170 +224,138 @@ def _random_ring_element(
             return u, lifts
 
 
-def check_series_criteria(seed: int = 0, samples: int = 100) -> CheckReport:
+@_check(
+    "series_criteria",
+    "derived-series membership: projection == iterated commutator",
+    100,
+)
+def check_series_criteria(report: CheckReport, rng: random.Random) -> None:
     """Projection and iterated-commutator membership agree on S(2, 3)."""
-    report = CheckReport(
-        "series_criteria",
-        "derived-series membership: projection == iterated commutator",
-        seed,
-        samples,
-    )
-
-    def run(report: CheckReport) -> None:
-        rng = random.Random(seed)
-        witnesses = standard_witnesses(2, 3)
-        for _ in range(samples):
-            w = random_word(rng, 2)
-            e = normalize(2, 3, w)
-            for i in (1, 2, 3):
-                via_projection = series_member_projection(e, i)
-                via_commutator = series_member_commutator(
-                    e, i, witnesses[i - 1 :]
+    witnesses = standard_witnesses(2, 3)
+    for _ in range(report.samples):
+        w = random_word(rng, 2)
+        e = normalize(2, 3, w)
+        for i in (1, 2, 3):
+            via_projection = series_member_projection(e, i)
+            via_commutator = series_member_commutator(e, i, witnesses[i - 1 :])
+            if via_projection != via_commutator:
+                report.failures.append(
+                    {
+                        "w": word_to_str(w),
+                        "i": i,
+                        "projection": via_projection,
+                        "commutator": via_commutator,
+                    }
                 )
-                if via_projection != via_commutator:
-                    report.failures.append(
-                        {
-                            "w": word_to_str(w),
-                            "i": i,
-                            "projection": via_projection,
-                            "commutator": via_commutator,
-                        }
-                    )
-
-    return _timed(run, report)
 
 
-def check_lex_drop(seed: int = 0, samples: int = 1) -> CheckReport:
+@_check("lex_drop", "principal dimension drops under a proper epimorphism", None)
+def check_lex_drop(report: CheckReport, rng: random.Random) -> None:
     """Principal dimension drops lexicographically along the concrete
     proper epimorphism from S(2, 2) onto Z wr Z.
 
     The check is one fixed, deterministic case, so it reports one sample
     whatever `samples` asks for.
     """
-    report = CheckReport(
-        "lex_drop",
-        "principal dimension drops under a proper epimorphism",
-        seed,
-        1,
-    )
+    computed = principal_dimension_metabelian([(1,), (2,)], 2)
+    closed = closed_form_dimension("free_solvable", 2, 2)
+    if computed.values != (2, 1) or closed.values != (2, 1):
+        report.failures.append(
+            {"kind": "source dimension", "computed": str(computed),
+             "closed_form": str(closed)}
+        )
+    target = closed_form_dimension("wreath", 1, 1)
+    if target.values != (1, 1):
+        report.failures.append({"kind": "target dimension", "got": str(target)})
 
-    def run(report: CheckReport) -> None:
-        computed = principal_dimension_metabelian([(1,), (2,)], 2)
-        closed = closed_form_dimension("free_solvable", 2, 2)
-        if computed.values != (2, 1) or closed.values != (2, 1):
-            report.failures.append(
-                {"kind": "source dimension", "computed": str(computed),
-                 "closed_form": str(closed)}
-            )
-        target = closed_form_dimension("wreath", 1, 1)
-        if target.values != (1, 1):
-            report.failures.append({"kind": "target dimension", "got": str(target)})
-
-        wr = iterated_wreath(1, 1)
-        images = [wr.generator(1), wr.generator(2)]
-        # Surjective: the generator images are the standard generating set.
-        if images != wr.generators():
-            report.failures.append({"kind": "not surjective on generators"})
-        # Proper: a word nontrivial in S(2, 2) dies in Z wr Z.
-        kernel_word = commutator((1,), conjugate((1,), (2,)))
-        if normalize(2, 2, kernel_word).is_trivial():
-            report.failures.append({"kind": "kernel witness trivial in source"})
-        if not wr.evaluate_word(kernel_word, images).is_trivial():
-            report.failures.append({"kind": "kernel witness survives in target"})
-        if lex_compare(computed, target) != 1:
-            report.failures.append(
-                {"kind": "no lexicographic drop", "source": str(computed),
-                 "target": str(target)}
-            )
-
-    return _timed(run, report)
+    wr = iterated_wreath(1, 1)
+    images = [wr.generator(1), wr.generator(2)]
+    # Surjective: the generator images are the standard generating set.
+    if images != wr.generators():
+        report.failures.append({"kind": "not surjective on generators"})
+    # Proper: a word nontrivial in S(2, 2) dies in Z wr Z.
+    kernel_word = commutator((1,), conjugate((1,), (2,)))
+    if normalize(2, 2, kernel_word).is_trivial():
+        report.failures.append({"kind": "kernel witness trivial in source"})
+    if not wr.evaluate_word(kernel_word, images).is_trivial():
+        report.failures.append({"kind": "kernel witness survives in target"})
+    if lex_compare(computed, target) != 1:
+        report.failures.append(
+            {"kind": "no lexicographic drop", "source": str(computed),
+             "target": str(target)}
+        )
 
 
-def check_rank_bounds(seed: int = 0, samples: int = 50) -> CheckReport:
+@_check(
+    "rank_bounds", "generator bounds on principal dimension: r_1 <= k, r_2 <= k - 1", 50
+)
+def check_rank_bounds(report: CheckReport, rng: random.Random) -> None:
     """Random non-abelian subgroups of S(m, 2) satisfy r_1 <= #generators
     and r_2 <= #generators - 1."""
-    report = CheckReport(
-        "rank_bounds",
-        "generator bounds on principal dimension: r_1 <= k, r_2 <= k - 1",
-        seed,
-        samples,
-    )
-
-    def run(report: CheckReport) -> None:
-        rng = random.Random(seed)
-        tested = 0
-        skipped = 0
-        while tested < samples:
-            m = rng.choice([2, 3])
-            k = rng.randint(2, 3)
-            generators = [random_word(rng, m, 6) for _ in range(k)]
-            try:
-                dimension = principal_dimension_metabelian(generators, m)
-            except ValueError:
-                skipped += 1
-                continue
-            if dimension.length == 1:
-                skipped += 1
-                continue
-            tested += 1
-            r1, r2 = dimension.values
-            if r1 > k or r2 > k - 1:
-                report.failures.append(
-                    {
-                        "m": m,
-                        "generators": [word_to_str(w) for w in generators],
-                        "dimension": str(dimension),
-                    }
-                )
-        report.samples = tested
-        if skipped:
-            report.statement += f" [{skipped} abelian/degenerate samples skipped]"
-
-    return _timed(run, report)
+    tested = 0
+    skipped = 0
+    while tested < report.samples:
+        m = rng.choice([2, 3])
+        k = rng.randint(2, 3)
+        generators = [random_word(rng, m, 6) for _ in range(k)]
+        try:
+            dimension = principal_dimension_metabelian(generators, m)
+        except ValueError:
+            skipped += 1
+            continue
+        if dimension.length == 1:
+            skipped += 1
+            continue
+        tested += 1
+        r1, r2 = dimension.values
+        if r1 > k or r2 > k - 1:
+            report.failures.append(
+                {
+                    "m": m,
+                    "generators": [word_to_str(w) for w in generators],
+                    "dimension": str(dimension),
+                }
+            )
+    if skipped:
+        report.statement += f" [{skipped} abelian/degenerate samples skipped]"
 
 
-def check_retraction(seed: int = 0, samples: int = 50) -> CheckReport:
+@_check(
+    "retraction",
+    "coordinate retraction maps each series term onto the subgroup's term",
+    50,
+)
+def check_retraction(report: CheckReport, rng: random.Random) -> None:
     """Retractions onto coordinate subgroups respect the derived series:
     the image of G_i is the subgroup's own i-th series term."""
-    report = CheckReport(
-        "retraction",
-        "coordinate retraction maps each series term onto the subgroup's term",
-        seed,
-        samples,
-    )
-
-    def run(report: CheckReport) -> None:
-        rng = random.Random(seed)
-        m, k, n = 3, 2, 2
-        for _ in range(samples):
-            # Coordinate retraction x_j -> x_j (j <= k), x_j -> 1 (j > k),
-            # onto the subgroup generated by the first k generators.
-            w = random_word(rng, m, 8)
-            retracted = tuple(letter for letter in w if abs(letter) <= k)
-            e = normalize(m, n, w)
-            image = normalize(k, n, retracted)
-            for i in (1, 2, 3):
-                if series_member_projection(e, i) and not series_member_projection(
-                    image, i
-                ):
-                    report.failures.append(
-                        {"w": word_to_str(w), "i": i, "kind": "image left series"}
-                    )
-            # The retraction fixes the subgroup pointwise, so on words over
-            # the first k generators the ambient series must restrict to the
-            # subgroup's own series, both directions.
-            a = random_word(rng, k, 8)
-            ambient = normalize(m, n, a)
-            inner = normalize(k, n, a)
-            for i in (1, 2, 3):
-                if series_member_projection(ambient, i) != series_member_projection(
-                    inner, i
-                ):
-                    report.failures.append(
-                        {"a": word_to_str(a), "i": i, "kind": "series restriction"}
-                    )
-
-    return _timed(run, report)
+    m, k, n = 3, 2, 2
+    for _ in range(report.samples):
+        # Coordinate retraction x_j -> x_j (j <= k), x_j -> 1 (j > k),
+        # onto the subgroup generated by the first k generators.
+        w = random_word(rng, m, 8)
+        retracted = tuple(letter for letter in w if abs(letter) <= k)
+        e = normalize(m, n, w)
+        image = normalize(k, n, retracted)
+        for i in (1, 2, 3):
+            if series_member_projection(e, i) and not series_member_projection(
+                image, i
+            ):
+                report.failures.append(
+                    {"w": word_to_str(w), "i": i, "kind": "image left series"}
+                )
+        # The retraction fixes the subgroup pointwise, so on words over
+        # the first k generators the ambient series must restrict to the
+        # subgroup's own series, both directions.
+        a = random_word(rng, k, 8)
+        ambient = normalize(m, n, a)
+        inner = normalize(k, n, a)
+        for i in (1, 2, 3):
+            if series_member_projection(ambient, i) != series_member_projection(
+                inner, i
+            ):
+                report.failures.append(
+                    {"a": word_to_str(a), "i": i, "kind": "series restriction"}
+                )
 
 
 ALL_CHECKS: dict[str, Callable[..., CheckReport]] = {
