@@ -18,13 +18,21 @@ homomorphism of S(m, n) into matrices mod p, taken at level
 min(n, FILTER_LEVEL) through the projection), which rejects a tuple only
 when it proves the equation's value nontrivial, so no solution is ever
 dropped; then, for the tuples the fingerprint cannot rule out, by the
-word problem, so no non-solution is kept.  Each ball element carries its
-first shortest word from `ball_enumerate`, and a survivor's check
-substitutes those words into the equation's letters: a word that
+word problem, so no non-solution is kept.  Each ball element carries
+the shortest word `ball_enumerate` recorded for it, and a survivor's
+check substitutes those words into the equation's letters: a word that
 freely reduces to the empty word is trivial in every S(m, n), and any
-other is decided by `normalize`.  A tuple costs a few matrix-vector
-products mod p (15 modular products each at level 4); the word problem
-is paid only by survivors.
+other is decided by `normalize`.
+
+The ball is grown on the left, so each recorded word is a letter
+followed by the word of another ball element, its parent.  A ball
+element's fingerprint and its inverse are therefore one matrix product
+each from its parent's (`fingerprint.compose`).  While a variable is
+bound, the letters before its first occurrence are fixed, so their
+inverses are applied to v once per visit and each candidate is compared
+with that target.  A tuple costs a few matrix-vector products mod p
+(15 modular products each at level 4); the word problem is paid only by
+survivors.
 """
 
 from __future__ import annotations
@@ -34,9 +42,18 @@ from dataclasses import dataclass
 from typing import Any, Iterator, Sequence
 
 from .errors import CapExceededError
-from .fingerprint import Fingerprint, apply, inverse
+from .fingerprint import Fingerprint, apply, compose, inverse
 from .free_solvable import SolvableElement, ball_enumerate, free_solvable_group, normalize
-from .words import Letter, VarLetter, Word, check_length, free_reduce, invert, parse_letters
+from .words import (
+    MAX_WORD_LENGTH,
+    Letter,
+    VarLetter,
+    Word,
+    check_length,
+    free_reduce,
+    invert,
+    parse_letters,
+)
 
 DEFAULT_ASSIGNMENT_CAP = 10_000_000
 
@@ -162,6 +179,12 @@ def solve_ball(
             f"arity mismatch: system uses {system_arity(system)} variables, "
             f"declared {nvars}"
         )
+    # Each variable prints one element, so its count is capped like the
+    # letters of a word, before any ball is built.
+    if nvars > MAX_WORD_LENGTH:
+        raise CapExceededError(
+            f"search space too large: {nvars} variables exceeds cap {MAX_WORD_LENGTH}"
+        )
     group = free_solvable_group(m, n)
     kwargs = {} if ball_cap is None else {"cap": ball_cap}
     ball = ball_enumerate(m, n, radius, **kwargs)
@@ -196,11 +219,19 @@ class _BallSearch:
     then, for the candidates it cannot rule out, by the word problem on
     the equation's letters with each variable replaced by its value's
     ball word (`_trivial`).  The filter never drops a solution, and the
-    exact check keeps no non-solution.  The letters after the last
-    occurrence of x are fixed at that depth, so their image of v is
-    formed once per visit; each candidate then costs one matrix-vector
-    product per remaining letter.  Fingerprints and their inverses are
-    formed once per ball element.
+    exact check keeps no non-solution.  The letters before the first
+    occurrence of x and after its last are fixed at that depth: w = 1
+    needs rho(middle) rho(suffix) v = rho(prefix)^-1 v, so both sides
+    but the middle are formed once per visit, and each candidate costs
+    one matrix-vector product per letter of the middle.
+
+    Fingerprints and their inverses are formed once per ball element,
+    from its parent's: `ball_enumerate` records each word as a letter
+    followed by another ball element's word w', so rho(w) is
+    rho(letter) rho(w') and rho(w)^-1 is rho(w')^-1 rho(letter)^-1, one
+    `compose` each.  Only the identity, the generators and their
+    inverses, and the equations' constants are fingerprinted from their
+    canonical forms.
     """
 
     def __init__(self, ball: list[tuple[SolvableElement, Word]], group: Any,
@@ -209,29 +240,48 @@ class _BallSearch:
         self.group = group
         fingerprint = Fingerprint(group.n, FILTER_LEVEL)
         self.vector = fingerprint.vector
-        matrices = [fingerprint.matrix(e) for e in self.ball]
         # Per sign of a variable occurrence: each ball element's matrix,
-        # and its image of the vector.
-        self.matrices = {1: matrices, -1: [inverse(a) for a in matrices]}
+        # and its image of the vector.  A word's first letter and the
+        # rest are shorter words of the ball, so they come first.
+        size = len(self.ball)
+        forward: list[Any] = [None] * size
+        backward: list[Any] = [None] * size
+        index = {word: i for i, word in enumerate(self.words)}
+        for i in sorted(range(size), key=lambda i: len(self.words[i])):
+            word = self.words[i]
+            if len(word) <= 1:
+                forward[i] = fingerprint.matrix(self.ball[i])
+                backward[i] = inverse(forward[i])
+            else:
+                letter, parent = index[word[:1]], index[word[1:]]
+                forward[i] = compose(forward[letter], forward[parent])
+                backward[i] = compose(backward[parent], backward[letter])
+        self.matrices = {1: forward, -1: backward}
         self.images = {
             sign: [apply(a, self.vector) for a in self.matrices[sign]]
             for sign in (1, -1)
         }
-        # Per last variable x: (letters before its last occurrence, its
-        # sign there, letters after it, the equation's letters).
+        # Per last variable x: (letters before its first occurrence,
+        # letters from there to its last occurrence, its sign there,
+        # letters after it, the equation's letters).  A constant's
+        # payload maps each sign to its matrix, like `self.matrices`.
         tests: dict[int, list[Any]] = {}
         for equation in system:
             prepared = _prepare(equation, group)
-            letters = [
-                (is_var, payload if is_var else fingerprint.matrix(payload), sign)
-                for is_var, payload, sign in prepared
-            ]
+            letters = []
+            for is_var, payload, sign in prepared:
+                if not is_var:
+                    a = fingerprint.matrix(payload)
+                    payload = {1: a, -1: inverse(a)}
+                letters.append((is_var, payload, sign))
             slot = max(payload for is_var, payload, _ in prepared if is_var)
-            last = max(i for i, (is_var, payload, _) in enumerate(prepared)
-                       if is_var and payload == slot)
-            tests.setdefault(slot, []).append(
-                (letters[:last], letters[last][2], letters[last + 1 :], equation.letters)
-            )
+            where = [i for i, (is_var, payload, _) in enumerate(prepared)
+                     if is_var and payload == slot]
+            first, last = where[0], where[-1]
+            tests.setdefault(slot, []).append((
+                letters[:first], letters[first:last], letters[last][2],
+                letters[last + 1 :], equation.letters,
+            ))
         occurring = {x.index - 1 for s in system for x in s.letters if isinstance(x, VarLetter)}
         self.order = sorted(occurring)
         self.tests = [tests.get(slot, []) for slot in self.order]
@@ -257,12 +307,15 @@ class _BallSearch:
 
     def _plan(self, depth: int) -> list[Any]:
         """The tests at this depth with the bound variables substituted:
-        per equation (image of v under the letters after x, or None when
-        there are none; sign of x; the letters before x right to left,
-        each a matrix or, for x, a matrix per ball element; letters)."""
+        per equation (image of v under the letters after x's last
+        occurrence, or None when there are none; sign of x there; the
+        letters from x's first occurrence up to its last, right to left,
+        each a matrix or, for x, a matrix per ball element; the target,
+        v under the inverses of the letters before x's first occurrence;
+        letters)."""
         slot = self.order[depth]
         plan = []
-        for head, sign, tail, letters in self.tests[depth]:
+        for prefix, head, sign, tail, letters in self.tests[depth]:
             start = None
             if tail:
                 start = self.vector
@@ -273,12 +326,16 @@ class _BallSearch:
                 else self._matrix(is_var, payload, s)
                 for is_var, payload, s in reversed(head)
             ]
-            plan.append((start, sign, ops, letters))
+            target = self.vector
+            for is_var, payload, s in prefix:
+                target = apply(self._matrix(is_var, payload, -s), target)
+            plan.append((start, sign, ops, target, letters))
         return plan
 
     def _matrix(self, is_var: bool, payload: Any, sign: int) -> Any:
-        """A letter's fingerprint matrix, its variable already bound."""
-        return self.matrices[sign][self.indices[payload]] if is_var else payload
+        """The fingerprint matrix of a letter raised to `sign`, its
+        variable already bound."""
+        return self.matrices[sign][self.indices[payload]] if is_var else payload[sign]
 
     def _passing(self, depth: int) -> Iterator[int]:
         """Each ball index that passes every test at this depth, in order;
@@ -287,18 +344,18 @@ class _BallSearch:
         bound."""
         plan = self._plan(depth)
         slot = self.order[depth]
-        vector, matrices, images = self.vector, self.matrices, self.images
+        matrices, images = self.matrices, self.images
         for idx in range(len(self.ball)):
-            for begin, sign, ops, _ in plan:
+            for begin, sign, ops, target, _ in plan:
                 x = images[sign][idx] if begin is None else apply(matrices[sign][idx], begin)
                 for op in ops:
                     x = apply(op[idx] if op.__class__ is list else op, x)
-                if x != vector:
+                if x != target:
                     break
             else:
                 self.indices[slot] = idx
                 self.values[slot] = self.ball[idx]
-                if all(self._trivial(letters) for _, _, _, letters in plan):
+                if all(self._trivial(letters) for *_, letters in plan):
                     yield idx
 
     def _trivial(self, letters: tuple[Letter, ...]) -> bool:

@@ -37,7 +37,10 @@ costs 1 + 1 + 3 + 10 + ... modular products (5 at level 3, 15 at level
 4) instead of 4^(k-1), whatever the size of the canonical form.
 Forming rho_k(e) costs one weighted row sum per distinct support element
 of its split matrix, with every lower-level fingerprint memoized per
-`Fingerprint` by (class, key).
+`Fingerprint` by (class, key).  Since rho is a homomorphism, the
+fingerprint of a product can instead be formed from its factors' by
+`compose`, without reading the product's canonical form: the solver
+forms each ball element's matrix from its parent's and one letter's.
 """
 
 from __future__ import annotations
@@ -123,6 +126,22 @@ class Fingerprint:
 def apply(a: Matrix, v: Vector) -> Vector:
     """The matrix-vector product a v mod p, for a in the stored form."""
     return [(x + sum(map(mul, row, v))) % PRIME for row, x in zip(a, v)]
+
+
+def compose(a: Matrix, b: Matrix) -> Matrix:
+    """The product a b of two fingerprint matrices in the stored form,
+    row by row from (I + A)(I + B) = I + A + B + A B.  Row j of B is no
+    longer than any row whose column j can be nonzero, so every row
+    keeps its cut; zero entries of A are skipped, which makes a product
+    by a generator's matrix cost about one row of B per row."""
+    out = []
+    for row, b_row in zip(a, b):
+        acc = [x + y for x, y in zip(row, b_row)]
+        for coeff, b_j in zip(row, b):
+            if coeff:
+                acc[: len(b_j)] = [x + coeff * y for x, y in zip(acc, b_j)]
+        out.append(tuple(x % PRIME for x in acc))
+    return tuple(out)
 
 
 def inverse(a: Matrix) -> Matrix:

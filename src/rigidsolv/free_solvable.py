@@ -47,7 +47,7 @@ class SolvableElement:
     SplitMatrix over S(m, n-1) for n >= 2.
     """
 
-    __slots__ = ("m", "n", "body", "_key", "_text")
+    __slots__ = ("m", "n", "body", "_key", "_text", "_trivial")
 
     def __init__(self, m: int, n: int, body: Any):
         self.m = m
@@ -55,6 +55,7 @@ class SolvableElement:
         self.body = body
         self._key: str | None = None
         self._text: str | None = None
+        self._trivial: bool | None = None
 
     @property
     def group(self) -> "FreeSolvableGroup":
@@ -71,11 +72,17 @@ class SolvableElement:
         return self._key
 
     def is_trivial(self) -> bool:
-        if self.n == 0:
-            return True
-        if self.n == 1:
-            return not any(self.body)
-        return self.body.is_trivial()
+        """Cached, since a left product asks it of its right factor's
+        top at every class: for the identity of S(m, n) that is
+        O(m n) coordinates each time."""
+        if self._trivial is None:
+            if self.n == 0:
+                self._trivial = True
+            elif self.n == 1:
+                self._trivial = not any(self.body)
+            else:
+                self._trivial = self.body.is_trivial()
+        return self._trivial
 
     def __mul__(self, other: "SolvableElement") -> "SolvableElement":
         return self.group.mul(self, other)
@@ -301,9 +308,14 @@ def ball_enumerate(
     with its first shortest word, sorted by canonical key.
 
     Breadth-first over freely reduced words, deduplicating on canonical
-    keys.  A new element's word is its parent's word plus the letter
-    (tried as x1, X1, x2, X2, ...), so it is freely reduced, of minimal
-    length, and normalizes to the element.
+    keys.  Each frontier element is extended on the left, by the letters
+    x1, X1, x2, X2, ... in turn: a new element is the letter times its
+    parent, and its word is the letter followed by the parent's recorded
+    word.  So the word is freely reduced, of minimal length, normalizes
+    to the element, and drops its first letter to the recorded word of
+    another ball element.  A left product adds one monomial per class to
+    the parent's split matrix (d(y w) = d(y) w-bar + d(w)), where a right
+    product would translate its whole support.
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
@@ -323,12 +335,12 @@ def ball_enumerate(
         next_frontier = []
         for element, word in frontier:
             for letter in gens:
-                if word and letter == -word[-1]:
+                if word and letter == -word[0]:
                     continue
-                extended = group.mul(element, gens[letter])
+                extended = group.mul(gens[letter], element)
                 key = extended.key()
                 if key not in seen:
-                    seen[key] = (extended, word + (letter,))
+                    seen[key] = (extended, (letter,) + word)
                     next_frontier.append(seen[key])
         frontier = next_frontier
     return [seen[key] for key in sorted(seen)]

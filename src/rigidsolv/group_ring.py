@@ -132,13 +132,15 @@ class RingElement:
         return RingElement(group, support)
 
     def translate(self, g: Any) -> "RingElement":
-        """Right translation: every support element is multiplied by g."""
+        """Right translation: every support element is multiplied by g.
+        The identity goes to g itself, so the monomial of a generator's
+        coordinate lands on the other factor's top without copying it."""
         group = self.group
         if not self.support or g.is_trivial():
             return self
         support: dict[str, tuple[Any, int]] = {}
         for element, coeff in self.support.values():
-            shifted = group.mul(element, g)
+            shifted = g if element.is_trivial() else group.mul(element, g)
             support[shifted.key()] = (shifted, coeff)
         return RingElement(group, support)
 

@@ -420,6 +420,29 @@ def test_solve_substituted_word_past_word_cap_exit_3(capsys):
     assert err == "error: word too long: 1100000 letters exceeds cap 1000000\n"
 
 
+def test_solve_variable_count_past_word_cap_exit_3():
+    # A radius-0 ball has one element, so the assignment cap alone let
+    # 9,999,999 variables through, and printing one element per variable
+    # ended in a MemoryError under a 1 GB address-space limit.
+    resource = pytest.importorskip("resource")
+    limit = 1 << 30
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-m", "rigidsolv", "solve", "-m", "2", "-n", "2", "-r", "0",
+         "-e", "$9999999"],
+        env=dict(os.environ, PYTHONPATH=str(src)), preexec_fn=cap_memory,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert (result.returncode, result.stdout) == (3, "")
+    assert result.stderr == (
+        "error: search space too large: 9999999 variables exceeds cap 1000000\n"
+    )
+
+
 def test_laurent_rank_cost_is_bounded_by_the_input_not_nvars(tmp_path, capsys):
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"nvars": 100_000_000, "rows": [[[]]]}))

@@ -206,6 +206,15 @@ SWEEP = [
     (2, FILTER_LEVEL + 1, 2, ["[$1,$2]"], None),
     (2, FILTER_LEVEL + 1, 3, ["[$1, [x1,x2]]"], None),
     (2, FILTER_LEVEL + 1, 2, ["[[$1,x1],[x2,x1]]"], None),
+    # The letters before the first occurrence of the variable being bound
+    # are fixed while it is bound, so they are folded into the target.
+    (2, 2, 2, ["x1 $1 $2 $1^-1 $2^-1 X1"], None),
+    (2, 3, 2, ["$1 $2 $1^-1 $2^-1"], None),
+    (2, 2, 1, ["$3 $1 $3^-1 $2"], None),
+    (2, 3, 1, ["$1 x1 $2 $3 $2^-1 $3^-1 X1 $1^-1"], None),
+    (2, FILTER_LEVEL + 1, 2, ["x1 $1 $2 $1^-1 $2^-1 X1"], None),
+    (2, FILTER_LEVEL + 1, 1, ["$3 $1 $3^-1 $2"], None),
+    (2, FILTER_LEVEL + 1, 2, ["$1 x2 $2 X2 $1^-1 $2^-1", "x1 $1 X1 $1^-1"], None),
 ]
 
 

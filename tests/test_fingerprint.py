@@ -6,8 +6,9 @@ import random
 
 import pytest
 
-from rigidsolv.fingerprint import PRIME, Fingerprint, apply, inverse, unit
-from rigidsolv.free_solvable import normalize, project
+from rigidsolv.equations import FILTER_LEVEL, _BallSearch
+from rigidsolv.fingerprint import PRIME, Fingerprint, apply, compose, inverse, unit
+from rigidsolv.free_solvable import ball_enumerate, free_solvable_group, normalize, project
 from rigidsolv.verify import random_word
 from rigidsolv.words import commutator, invert
 
@@ -167,3 +168,35 @@ def test_inverse_is_a_two_sided_inverse():
         a = Fingerprint(n, n).matrix(normalize(2, n, random_word(rng, 2, 10)))
         assert matmul(dense(a), dense(inverse(a))) == identity_matrix(len(a))
         assert dense(inverse(a)) == dense_inverse(dense(a))
+
+
+def test_compose_is_the_dense_product():
+    rng = random.Random("fingerprint-compose")
+    for n in range(6):
+        fingerprint = Fingerprint(n, n)
+        for _ in range(4):
+            u, w = random_word(rng, 2, 8), random_word(rng, 2, 8)
+            a = fingerprint.matrix(normalize(2, n, u))
+            b = fingerprint.matrix(normalize(2, n, w))
+            product = compose(a, b)
+            assert dense(product) == matmul(dense(a), dense(b))
+            # The stored form keeps every row's cut, so it is the
+            # fingerprint of the product itself.
+            assert product == fingerprint.matrix(normalize(2, n, u + w))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, FILTER_LEVEL, FILTER_LEVEL + 1])
+@pytest.mark.parametrize("radius", [2, 3])
+def test_ball_matrices_compose_from_the_parent(m, n, radius):
+    ball = ball_enumerate(m, n, radius)
+    words = {word for _, word in ball}
+    # Every word drops its first letter to another ball element's word,
+    # so each matrix can be composed from its parent's.
+    assert all(word[1:] in words for word in words if word)
+    search = _BallSearch(ball, free_solvable_group(m, n), [], 0)
+    fingerprint = Fingerprint(n, FILTER_LEVEL)
+    for i, (e, _) in enumerate(ball):
+        a = fingerprint.matrix(e)
+        assert search.matrices[1][i] == a
+        assert search.matrices[-1][i] == inverse(a)

@@ -71,5 +71,9 @@ def test_tracer_installs_and_traces_every_subcommand(tmp_path):
     assert data["codes"] == [0] * len(ops)
     assert set(data["per_layer"]) <= set(data["metrics"])
     assert data["metrics"]["cli.main.calls"] == len(ops)
+    # Only the `solve -r 1` op builds a ball: the identity and the 4 words
+    # of length 1, each tried by one product in the group.
+    assert data["metrics"]["free_solvable.ball.elements"] == 5
+    assert data["metrics"]["free_solvable.ball.words_tried"] == 4
     # Every wrapped layer recorded time, so every wrapper was reached.
     assert all(seconds > 0 for seconds in data["module_self_s"].values())
