@@ -1,4 +1,5 @@
-"""Exact computation in free solvable groups and iterated wreath products."""
+"""Exact computation in free solvable groups, with their images in the
+iterated wreath products written from the split-matrix tower."""
 
 from .errors import AmbientMismatchError, CapExceededError, WordSyntaxError
 from .groups import Group
@@ -15,14 +16,7 @@ from .free_solvable import (
     series_member_projection,
     standard_witnesses,
 )
-from .wreath import (
-    WreathElement,
-    WreathProduct,
-    embed_free_solvable,
-    embedding_codomain,
-    iterated_wreath,
-    matrix_to_function,
-)
+from .wreath import embed_free_solvable, embedding_codomain, matrix_to_function
 from .linalg import (
     LaurentPoly,
     PrincipalDimension,
@@ -62,8 +56,6 @@ __all__ = [
     "SplitMatrix",
     "Word",
     "WordSyntaxError",
-    "WreathElement",
-    "WreathProduct",
     "ball_enumerate",
     "closed_form_dimension",
     "coset_rank",
@@ -74,7 +66,6 @@ __all__ = [
     "evaluate",
     "free_reduce",
     "free_solvable_group",
-    "iterated_wreath",
     "laurent_rank",
     "lex_compare",
     "matrix_to_function",

@@ -37,7 +37,7 @@ from .linalg import (
 from .magnus import eval_word, sigma
 from .verify import run_all
 from .words import parse_word
-from .wreath import embed_free_solvable, embedding_codomain, point_text
+from .wreath import embed_free_solvable, embedding_codomain
 
 
 def _print_element(e: SolvableElement, as_json: bool) -> None:
@@ -138,14 +138,13 @@ def _cmd_sigma(args: argparse.Namespace) -> int:
 
 def _cmd_wreath_embed(args: argparse.Namespace) -> int:
     element = normalize(args.m, args.n, parse_word(args.word, ngens=args.m))
-    image = embed_free_solvable(element)
+    image = embed_free_solvable(element, as_json=args.json)
     codomain = embedding_codomain(args.m, args.n)
     if args.json:
-        label = json.dumps(codomain.label)
-        print(f'{{"codomain": {label}, "element": {point_text(image)}}}')
+        print(f'{{"codomain": {json.dumps(codomain)}, "element": {image}}}')
     else:
-        print(f"codomain: {codomain.label}")
-        print(image.key())
+        print(f"codomain: {codomain}")
+        print(image)
     return 0
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import Any, Sequence
 
 from .errors import AmbientMismatchError
-from .words import Word
 
 
 class Group:
@@ -62,22 +61,6 @@ class Group:
     def commutator(self, a: Any, b: Any) -> Any:
         """a^-1 b^-1 a b."""
         return self.mul(self.inv(self.mul(b, a)), self.mul(a, b))
-
-    def generators(self) -> list[Any]:
-        return [self.generator(i) for i in range(1, self.ngens + 1)]
-
-    def evaluate_word(self, word: Word, images: Sequence[Any] | None = None) -> Any:
-        """Image of a free word under x_i -> images[i-1] (default: generators)."""
-        if images is None:
-            images = self.generators()
-        result = self.identity()
-        for letter in word:
-            index = abs(letter)
-            if not 1 <= index <= len(images):
-                raise ValueError(f"bad generator index {index} (have {len(images)})")
-            g = images[index - 1]
-            result = self.mul(result, g if letter > 0 else self.inv(g))
-        return result
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Group) and self.label == other.label

@@ -36,8 +36,9 @@ class SplitMatrix:
 
     The coordinate row may have any width; the splitting of a group
     presented on m generators uses width m = base.ngens, but wider or
-    narrower free module rows multiply by the same rule; an element of
-    the wreath product Z^m wr B is a width-m row over B.
+    narrower free module rows multiply by the same rule.  A width-m row
+    over B is an element of the wreath product Z^m wr B: read pointwise
+    (`wreath.matrix_to_function`), the row is the base function.
     """
 
     __slots__ = ("base", "top", "coords", "_key")

@@ -31,9 +31,9 @@ from .linalg import (
     lex_compare,
     principal_dimension_metabelian,
 )
-from .magnus import eval_word, sigma
+from .magnus import SplitMatrix, eval_word, sigma
 from .words import Word, commutator, conjugate, word_to_str
-from .wreath import iterated_wreath
+from .wreath import matrix_to_function
 
 
 #: Most samples a check may draw; a report of more raises
@@ -268,16 +268,31 @@ def check_lex_drop(report: CheckReport, rng: random.Random) -> None:
     if target.values != (1, 1):
         report.failures.append({"kind": "target dimension", "got": str(target)})
 
-    wr = iterated_wreath(1, 1)
-    images = [wr.generator(1), wr.generator(2)]
-    # Surjective: the generator images are the standard generating set.
-    if images != wr.generators():
+    # Z wr Z as width-1 split matrices over Z = S(1, 1).
+    z = free_solvable_group(1, 1)
+    one, shift = z.identity(), z.generator(1)
+    images = [
+        SplitMatrix(z, one, [RingElement.one(z)]),
+        SplitMatrix(z, shift, [RingElement.zero(z)]),
+    ]
+    # Surjective: x1 goes to the base delta at the identity and x2 to
+    # the top shift, which generate Z wr Z.
+    if (
+        images[0].top != one
+        or matrix_to_function(images[0]) != {one.key(): (one, (1,))}
+        or images[1].top != shift
+        or matrix_to_function(images[1])
+    ):
         report.failures.append({"kind": "not surjective on generators"})
     # Proper: a word nontrivial in S(2, 2) dies in Z wr Z.
     kernel_word = commutator((1,), conjugate((1,), (2,)))
     if normalize(2, 2, kernel_word).is_trivial():
         report.failures.append({"kind": "kernel witness trivial in source"})
-    if not wr.evaluate_word(kernel_word, images).is_trivial():
+    value = SplitMatrix.identity(z, 1)
+    for letter in kernel_word:
+        g = images[abs(letter) - 1]
+        value = value * (g if letter > 0 else g.inv())
+    if not value.is_trivial():
         report.failures.append({"kind": "kernel witness survives in target"})
     if lex_compare(computed, target) != 1:
         report.failures.append(

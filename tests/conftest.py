@@ -49,6 +49,51 @@ def eval_perm_word(word, images):
     return result
 
 
+# -- iterated wreath products on plain values: independent product oracle --
+# An element of W(m, 0) = Z^m is an exponent tuple; an element of
+# W(m, k) = Z^m wr W(m, k-1) is the pair (top, base), the base a frozenset
+# of (point, vector) with no zero vectors.  Nothing here touches split
+# matrices or group rings.
+
+
+def wreath_value(tree):
+    """A `wreath-embed` JSON image (parsed) as a plain value."""
+    if isinstance(tree, list):
+        return tuple(tree)
+    return (
+        wreath_value(tree["top"]),
+        frozenset((wreath_value(p["at"]), tuple(p["vec"])) for p in tree["base"]),
+    )
+
+
+def wreath_mul(a, b):
+    """(f, s)(g, t) = (f.t + g, st), where (f.t)(x t) = f(x)."""
+    if isinstance(a[0], int):
+        return tuple(x + y for x, y in zip(a, b))
+    base = {}
+    for point, vec in [(wreath_mul(p, b[0]), v) for p, v in a[1]] + list(b[1]):
+        old = base.get(point, (0,) * len(vec))
+        base[point] = tuple(x + y for x, y in zip(old, vec))
+    top = wreath_mul(a[0], b[0])
+    return top, frozenset((p, v) for p, v in base.items() if any(v))
+
+
+def wreath_inv(a):
+    """(f, s)^-1 = (-(f.s^-1), s^-1)."""
+    if isinstance(a[0], int):
+        return tuple(-x for x in a)
+    top = wreath_inv(a[0])
+    return top, frozenset(
+        (wreath_mul(p, top), tuple(-x for x in v)) for p, v in a[1]
+    )
+
+
+def wreath_is_identity(a):
+    return not any(a) if isinstance(a[0], int) else (
+        not a[1] and wreath_is_identity(a[0])
+    )
+
+
 # -- brute-force minor-rank oracles ---------------------------------------
 
 

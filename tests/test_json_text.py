@@ -15,21 +15,9 @@ from rigidsolv.free_solvable import SolvableElement, free_solvable_group, normal
 from rigidsolv.group_ring import RingElement
 from rigidsolv.magnus import SplitMatrix, eval_word, sigma
 from rigidsolv.verify import random_word
-from rigidsolv.wreath import (
-    WreathElement,
-    embed_free_solvable,
-    embedding_codomain,
-    matrix_to_function,
-    point_text,
-)
+from rigidsolv.wreath import embed_free_solvable
 
 # -- reference: the dict-tree serializer ------------------------------------------
-
-
-def ref_value(x):
-    if isinstance(x, SolvableElement):
-        return ref_element(x)
-    return ref_wreath(x)
 
 
 def ref_element(e):
@@ -43,29 +31,34 @@ def ref_element(e):
 
 
 def ref_matrix(p):
-    return {"top": ref_value(p.top), "coords": [ref_ring(d) for d in p.coords]}
+    return {"top": ref_element(p.top), "coords": [ref_ring(d) for d in p.coords]}
 
 
 def ref_ring(d):
-    return [{"coeff": coeff, "element": ref_value(x)} for x, coeff in d.terms()]
+    return [{"coeff": coeff, "element": ref_element(x)} for x, coeff in d.terms()]
 
 
-def ref_point(x):
-    if isinstance(x, SolvableElement) and x.n == 1:
-        return list(x.body)
-    return ref_value(x)
-
-
-def ref_wreath(w):
-    base = w.base
-    return {
-        "level": w.product.level,
-        "top": ref_point(w.top),
-        "base": [
-            {"at": ref_point(base[key][0]), "vec": list(base[key][1])}
-            for key in sorted(base)
-        ],
+def ref_image(x):
+    """Wreath key and JSON tree of x's image in W(m, n-1), gathered from
+    the coordinate row term by term."""
+    if x.n == 0:
+        x = free_solvable_group(x.m, 1).identity()
+    if x.n == 1:
+        return x.key(), list(x.body)
+    points = {}
+    for slot, d in enumerate(x.body.coords):
+        for y, coeff in d.terms():
+            vec = points.setdefault(y.key(), (y, [0] * x.m))[1]
+            vec[slot] = coeff
+    images = sorted((ref_image(y), vec) for y, vec in points.values())
+    top_key, top_tree = ref_image(x.body.top)
+    key = f"w[{top_key}|" + ",".join(f"{k}:{tuple(v)}" for (k, _), v in images) + "]"
+    tree = {
+        "level": x.n - 1,
+        "top": top_tree,
+        "base": [{"at": tree, "vec": vec} for (_, tree), vec in images],
     }
+    return key, tree
 
 
 def ref_solutions(sol):
@@ -109,22 +102,20 @@ def test_split_matrix_and_ring_texts_match_dict_tree(m, n):
 
 def test_zero_ring_element_text():
     for group in (free_solvable_group(2, 0), free_solvable_group(2, 1),
-                  embedding_codomain(2, 3)):
+                  free_solvable_group(2, 3)):
         assert RingElement.zero(group).json_text() == "[]"
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_wreath_texts_match_dict_tree_at_levels_0_to_3(m):
-    for n in range(1, 5):
+    for n in range(5):
         for word in seeded_words(200 + 10 * m + n, m, count=3):
-            image = embed_free_solvable(normalize(m, n, word))
-            assert json.loads(point_text(image)) == ref_point(image)
-            if n >= 2:
-                assert json.loads(image.matrix.json_text()) == ref_matrix(image.matrix)
-    # A wreath product over a top group that is not iterated: level null.
-    view = matrix_to_function(eval_word((1, 2, -1), free_solvable_group(2, 2)))
-    assert view.product.level is None
-    assert json.loads(view.json_text()) == ref_wreath(view)
+            e = normalize(m, n, word)
+            key, tree = ref_image(e)
+            assert embed_free_solvable(e) == key
+            text = embed_free_solvable(e, as_json=True)
+            assert json.loads(text) == tree
+            assert text == json.dumps(tree)
 
 
 @pytest.mark.parametrize(
@@ -157,9 +148,6 @@ def test_solution_set_text_with_no_solutions():
 def test_texts_are_cached_on_the_element():
     e = normalize(2, 3, (1, 2, -1, -2, 2))
     assert e.json_text() is e.json_text()
-    w = embed_free_solvable(normalize(2, 4, (1, 2, -1, -2)))
-    assert isinstance(w, WreathElement)
-    assert w.json_text() is w.json_text()
 
 
 def test_each_distinct_element_text_is_built_once(monkeypatch):

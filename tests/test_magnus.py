@@ -148,8 +148,8 @@ def test_canonical_json_corpus(monkeypatch):
     # SHA-256 digests of stdout: `normalize --json` and `fox --json` made
     # by the left-to-right fold evaluator, and `wreath-embed` (JSON and
     # text, with its exit code) made by the base-function wreath product.
-    # Flows and the split-matrix wreath view must reproduce them byte for
-    # byte.  The later entries (`mul`, `comm`, `project`, `sigma`,
+    # Flows and the wreath serializer, which reads the S(m,n) split-matrix
+    # tower pointwise, must reproduce them byte for byte.  The later entries (`mul`, `comm`, `project`, `sigma`,
     # `solve`, and text-mode `normalize` and `fox`, over m = 1..3 and
     # n = 0..4) were made by the dict-tree serializer that `json.dumps`
     # walked; the cached element texts must reproduce them too.  The

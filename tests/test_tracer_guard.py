@@ -75,5 +75,7 @@ def test_tracer_installs_and_traces_every_subcommand(tmp_path):
     # of length 1, each tried by one product in the group.
     assert data["metrics"]["free_solvable.ball.elements"] == 5
     assert data["metrics"]["free_solvable.ball.words_tried"] == 4
+    # `wreath-embed` reads each coordinate row through the wrapped reader.
+    assert data["metrics"]["wreath.to_function.calls"] > 0
     # Every wrapped layer recorded time, so every wrapper was reached.
     assert all(seconds > 0 for seconds in data["module_self_s"].values())
